@@ -160,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     whb.add_argument(
         "--decay", type=float, default=None,
         help="per-window exponential decay factor in (0, 1] applied "
-        "when merging windows into a sliding answer (unsharded only; "
-        "serving-time parameter, not persisted)",
+        "when merging windows into a sliding answer (serving-time "
+        "parameter, not persisted)",
     )
     whb.add_argument(
         "--retention", type=int, default=None,
         help="keep only the newest N windows, deleting older members "
-        "at build time (unsharded only)",
+        "at build time",
     )
 
     whr = whsub.add_parser(
@@ -495,8 +495,28 @@ def _resolve_shards(root, requested) -> int:
     return int(requested) if requested else 1
 
 
+def _open_service(args, tables, workers: str = "inprocess"):
+    """The warehouse front over the topology ``--shards`` (or the
+    store's recorded layout) selects; one shard is the plain
+    single-store layout. Close it (context manager) to stop workers."""
+    from .warehouse import ShardedWarehouseService, WarehouseService
+
+    shards = _resolve_shards(args.root, args.shards)
+    if shards > 1:
+        return ShardedWarehouseService(
+            args.root, tables, shards=shards, backend=args.backend,
+            workers=workers,
+        )
+    return WarehouseService(args.root, tables, backend=args.backend)
+
+
+def _across_shards(service) -> str:
+    shards = getattr(service, "num_shards", None)  # plain fronts: none
+    return f" across {shards} shards" if shards else ""
+
+
 def _cmd_warehouse_build(args) -> int:
-    from .warehouse import SampleMaintainer, SampleStore
+    from .warehouse import format_window, parse_window
 
     table = Table.load(args.table)
     table_name = args.table_name or table.name or "T"
@@ -515,94 +535,41 @@ def _cmd_warehouse_build(args) -> int:
         print("--columns must name at least one column", file=sys.stderr)
         return 2
     group_by = [c for c in args.group_by.split(",") if c]
-    shards = _resolve_shards(args.root, args.shards)
-    if args.window is not None:
-        if not args.ts_column:
-            print("--window requires --ts-column", file=sys.stderr)
-            return 2
-        return _windowed_build(
-            args, table, table_name, group_by, value_columns, budget,
-            shards,
-        )
-    if args.ts_column or args.decay is not None or args.retention is not None:
-        print(
-            "--ts-column/--decay/--retention only apply with --window",
-            file=sys.stderr,
-        )
-        return 2
-    if shards > 1:
-        from .warehouse import ShardedWarehouseService
-
-        with ShardedWarehouseService(
-            args.root, {table_name: table}, shards=shards,
-            backend=args.backend, workers="inprocess",
-        ) as service:
-            report = service.build(
-                args.name, table_name, group_by=group_by,
-                value_columns=value_columns, budget=budget,
-                seed=args.seed,
+    if args.window is None:
+        if (
+            args.ts_column
+            or args.decay is not None
+            or args.retention is not None
+        ):
+            print(
+                "--ts-column/--decay/--retention only apply with --window",
+                file=sys.stderr,
             )
-        suffix = f" across {shards} shards"
-    else:
-        maintainer = SampleMaintainer(
-            SampleStore(args.root, backend=args.backend)
+            return 2
+        # One-shot process: commit to the store, nothing to swap live.
+        with _open_service(args, {}) as service:
+            report = service.maintainer.build(
+                args.name, table, group_by=group_by,
+                value_columns=value_columns, budget=budget,
+                table_name=table_name, seed=args.seed,
+            )
+            suffix = _across_shards(service)
+        print(
+            f"built {args.name} {report.version}: {report.rows} rows over "
+            f"{report.strata} strata (budget {report.budget}, "
+            f"source {report.source_rows} rows, tracking "
+            f"{','.join(report.columns)}) -> {args.root}{suffix}"
         )
-        report = maintainer.build(
-            args.name,
-            table,
-            group_by=group_by,
-            value_columns=value_columns,
-            budget=budget,
-            table_name=table_name,
-            seed=args.seed,
-        )
-        suffix = ""
-    print(
-        f"built {args.name} {report.version}: {report.rows} rows over "
-        f"{report.strata} strata (budget {report.budget}, "
-        f"source {report.source_rows} rows, tracking "
-        f"{','.join(report.columns)}) -> {args.root}{suffix}"
-    )
-    return 0
-
-
-def _windowed_build(
-    args, table, table_name, group_by, value_columns, budget, shards
-) -> int:
-    from .warehouse import format_window, parse_window
-
+        return 0
+    if not args.ts_column:
+        print("--window requires --ts-column", file=sys.stderr)
+        return 2
     try:
         width = parse_window(args.window)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if shards > 1:
-        if args.decay is not None or args.retention is not None:
-            print(
-                "--decay/--retention are not supported on sharded "
-                "stores; rebuild with --shards 1",
-                file=sys.stderr,
-            )
-            return 2
-        from .warehouse import ShardedWarehouseService
-
-        with ShardedWarehouseService(
-            args.root, {table_name: table}, shards=shards,
-            backend=args.backend, workers="inprocess",
-        ) as service:
-            report = service.build_windowed(
-                args.name, table_name, group_by=group_by,
-                value_columns=value_columns, budget=budget,
-                ts_column=args.ts_column, window=width,
-                seed=args.seed,
-            )
-        suffix = f" across {shards} shards"
-    else:
-        from .warehouse import WarehouseService
-
-        service = WarehouseService(
-            args.root, {table_name: table}, backend=args.backend
-        )
+    with _open_service(args, {table_name: table}) as service:
         report = service.build_windowed(
             args.name, table_name, group_by=group_by,
             value_columns=value_columns, budget=budget,
@@ -610,7 +577,7 @@ def _windowed_build(
             decay=args.decay, retention=args.retention,
             seed=args.seed,
         )
-        suffix = ""
+        suffix = _across_shards(service)
     source_rows = sum(w.source_rows for w in report.windows)
     per_window = report.windows[0].budget if report.windows else 0
     print(
@@ -624,62 +591,18 @@ def _windowed_build(
 
 
 def _cmd_warehouse_refresh(args) -> int:
-    from .warehouse import SampleMaintainer, SampleStore
-
     batch = Table.load(args.batch)
     full_table = Table.load(args.full_table) if args.full_table else None
     columns = (
         [c for c in args.columns.split(",") if c] if args.columns else None
     )
-    shards = _resolve_shards(args.root, args.shards)
-    if shards > 1:
-        from .warehouse import ShardedSampleStore, ShardedWarehouseService
-
-        tables = {}
-        if full_table is not None:
-            # The front needs the table under its SQL name to offer the
-            # rebuild-escalation path; the stored sample records it.
-            stored = ShardedSampleStore(args.root).get_shards(args.name)
-            table_name = stored[0].table_name or full_table.name or "T"
-            tables[table_name] = full_table
-        with ShardedWarehouseService(
-            args.root, tables, backend=args.backend, workers="inprocess",
-        ) as service:
-            report = service.refresh(
-                args.name, batch, seed=args.seed, columns=columns
-            )
-    else:
-        store = SampleStore(args.root, backend=args.backend)
-        names = set(store.names())
-        member_prefix = args.name + "@w"
-        if args.name not in names and any(
-            n.startswith(member_prefix) for n in names
-        ):
-            # Windowed family: only the service knows how to roll the
-            # member windows forward (the base name has no store entry).
-            from .warehouse import WarehouseService
-
-            tables = {}
-            if full_table is not None:
-                member = min(
-                    n for n in names if n.startswith(member_prefix)
-                )
-                table_name = (
-                    store.get(member).table_name or full_table.name or "T"
-                )
-                tables[table_name] = full_table
-            service = WarehouseService(
-                args.root, tables, backend=args.backend
-            )
-            report = service.refresh(
-                args.name, batch, seed=args.seed, columns=columns
-            )
-        else:
-            maintainer = SampleMaintainer(store)
-            report = maintainer.refresh(
-                args.name, batch, full_table=full_table, seed=args.seed,
-                columns=columns,
-            )
+    # A maintenance-only process: no base table is registered, so the
+    # complete data (when given) rides along for rebuild escalation.
+    with _open_service(args, {}) as service:
+        report = service.refresh(
+            args.name, batch, seed=args.seed, columns=columns,
+            full_table=full_table,
+        )
     if report.action == "windowed":
         def _starts(starts):
             return ",".join(str(s) for s in starts) if starts else "-"
@@ -737,22 +660,13 @@ def _cmd_warehouse_advise(args) -> int:
 
 
 def _cmd_warehouse_serve(args) -> int:
-    from .warehouse import AccuracyContractViolation, WarehouseService
+    from .warehouse import AccuracyContractViolation
 
     table = Table.load(args.table)
     table_name = args.table_name or table.name or "T"
-    shards = _resolve_shards(args.root, args.shards)
-    if shards > 1:
-        from .warehouse import ShardedWarehouseService
-
-        service = ShardedWarehouseService(
-            args.root, {table_name: table}, backend=args.backend,
-            workers=args.shard_workers,
-        )
-    else:
-        service = WarehouseService(
-            args.root, {table_name: table}, backend=args.backend
-        )
+    service = _open_service(
+        args, {table_name: table}, workers=args.shard_workers
+    )
     if args.http:
         return _serve_http(args, service)
     if not args.sql:
@@ -855,7 +769,6 @@ def _cmd_warehouse_daemon(args) -> int:
     import asyncio
 
     from .serve import MaintenanceDaemon
-    from .warehouse import WarehouseService
 
     tables = {}
     names = list(args.table_name)
@@ -863,16 +776,7 @@ def _cmd_warehouse_daemon(args) -> int:
         loaded = Table.load(path)
         name = names[i] if i < len(names) else (loaded.name or f"T{i}")
         tables[name] = loaded
-    shards = _resolve_shards(args.root, args.shards)
-    if shards > 1:
-        from .warehouse import ShardedWarehouseService
-
-        service = ShardedWarehouseService(
-            args.root, tables, backend=args.backend,
-            workers=args.shard_workers,
-        )
-    else:
-        service = WarehouseService(args.root, tables, backend=args.backend)
+    service = _open_service(args, tables, workers=args.shard_workers)
     max_retries = args.max_retries
     if max_retries is None:
         max_retries = 0 if args.once else 3

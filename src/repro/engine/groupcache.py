@@ -30,10 +30,9 @@ Lookups and stores are counted in
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Optional, Tuple
 
+from ..concurrency import LRUCache
 from ..obs import default_registry
 
 __all__ = ["GroupCodeCache", "default_group_code_cache"]
@@ -58,62 +57,31 @@ class GroupCodeCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._lru = LRUCache(capacity)
 
     def get(self, token: Tuple, by: Tuple[str, ...]):
-        key = (token, tuple(by))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                _CACHE_COUNTER.inc(result="miss")
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            _CACHE_COUNTER.inc(result="hit")
-            return entry
+        entry = self._lru.get((token, tuple(by)))
+        _CACHE_COUNTER.inc(result="miss" if entry is None else "hit")
+        return entry
 
     def put(self, token: Tuple, by: Tuple[str, ...], keys) -> None:
-        key = (token, tuple(by))
-        with self._lock:
-            self._entries[key] = keys
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                _CACHE_COUNTER.inc(result="evict")
+        for _ in range(self._lru.put((token, tuple(by)), keys)):
+            _CACHE_COUNTER.inc(result="evict")
 
     def invalidate(self, sample_name: Optional[str] = None) -> None:
         """Drop entries for one sample name (any scope/version), or all."""
-        with self._lock:
-            if sample_name is None:
-                self._entries.clear()
-                return
-            stale = [
-                key
-                for key in self._entries
-                if len(key[0]) >= 2 and key[0][1] == sample_name
-            ]
-            for key in stale:
-                del self._entries[key]
+        if sample_name is None:
+            self._lru.clear()
+        else:
+            self._lru.remove_if(
+                lambda key: len(key[0]) >= 2 and key[0][1] == sample_name
+            )
 
     def counters(self) -> dict:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
+        return {**self._lru.counters(), "evictions": self._lru.evictions}
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
 
 _DEFAULT = GroupCodeCache()

@@ -12,7 +12,7 @@ propagation follows Python's rules:
 * ``ThreadPoolExecutor.submit`` does **not** — the sharded front's
   scatter path therefore submits fan-out work via
   ``contextvars.copy_context().run(...)`` (see
-  ``warehouse/sharded_service.py``).
+  ``warehouse/scatter.py``).
 * Process boundaries carry nothing — the pipe protocol ships the
   ``trace_id`` in the ``partials`` payload, the worker records spans
   against that id with :func:`remote_span`, returns them as dicts in

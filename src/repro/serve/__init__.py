@@ -18,9 +18,8 @@ dependencies:
 * :mod:`~repro.serve.worker` — shard worker processes for the sharded
   scatter-gather warehouse: each owns one ``shard-NN/`` sub-store
   behind its own :class:`~repro.warehouse.service.WarehouseService`
-  and answers partial-aggregate / refresh requests from the
-  :class:`~repro.warehouse.sharded_service.ShardedWarehouseService`
-  front.
+  and answers partial-aggregate / refresh requests from the front's
+  :class:`~repro.warehouse.scatter.ScatterGatherTopology`.
 
 See ``docs/ARCHITECTURE.md`` for where this layer sits and
 ``docs/API.md`` for the HTTP surface.

@@ -175,19 +175,12 @@ class MaintenanceDaemon:
         retry_max_delay: float = 60.0,
         retry_jitter: float = 0.25,
     ) -> None:
-        # Imported lazily: sharded_service pulls in serve.worker, and a
-        # top-level import here would close that cycle during package
-        # initialization.
-        from ..warehouse.sharded_service import ShardedWarehouseService
-
         if isinstance(service, AsyncWarehouseService):
             service = service.service
-        if not isinstance(
-            service, (WarehouseService, ShardedWarehouseService)
-        ):
+        if not isinstance(service, WarehouseService):
             raise TypeError(
-                "service must be a WarehouseService, "
-                "ShardedWarehouseService or AsyncWarehouseService"
+                "service must be a WarehouseService or "
+                "AsyncWarehouseService"
             )
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")

@@ -21,8 +21,12 @@ answers the scatter-gather protocol:
     owns) into the shard's stored sample via the streaming maintainer,
     then hot-swap the new version live. Escalation to a full rebuild
     is *not* done here — a shard sees only its strata, so rebuild
-    decisions belong to the front, which pushes rebuilt pieces down
-    through ``put``.
+    decisions belong to the front, which commits rebuilt pieces to the
+    shard stores and asks for a ``reload``.
+``reload`` / ``drop``
+    Swap in the store's current version of samples the front committed
+    out-of-band (builds, central rebuilds); stop serving a sample the
+    front deleted (window retention).
 ``sample_meta`` / ``stats`` / ``ping``
     Metadata for the front's merged routing view, per-shard store
     accounting, and liveness.
@@ -51,11 +55,12 @@ from pathlib import Path
 from threading import Lock
 from typing import Dict, Optional
 
+from ..concurrency import LRUCache
 from ..engine.sql.parser import parse_query
 from ..engine.table import Table
 from ..obs import default_registry, default_tracer
 from ..warehouse.partials import compute_partials, decompose
-from ..warehouse.service import LRUCache, WarehouseService
+from ..warehouse.service import WarehouseService
 from ..warehouse.sharding import ShardedSampleStore
 from ..warehouse.store import SampleStore
 
@@ -127,18 +132,22 @@ class ShardServer:
             # rows differ per shard.
             cache_scope=f"shard-{self.shard_index:02d}",
         )
-        self._placeholders: set = set()
+        self._tables: Dict[str, str] = {}  # served sample -> base table
         # SQL text -> (decomposed-or-None,): workers see the same few
         # query shapes over and over, so skip re-parse + re-decompose.
         # SQL-keyed and parse-pure, so no invalidation on hot-swaps.
         self._decompose_cache = LRUCache(_DECOMPOSE_CACHE_SIZE)
-        self._adopt_all()
+        for name in self.service.store.names():
+            try:
+                self._adopt(name)
+            except KeyError:
+                continue
 
     # ------------------------------------------------------------------
     # adoption
     # ------------------------------------------------------------------
-    def _adopt_all(self) -> None:
-        """Serve every stored sample on this shard.
+    def _adopt(self, name: str, version: Optional[str] = None) -> bool:
+        """Serve a stored version of ``name`` (current by default).
 
         The shard holds no base rows by design, so each sample's base
         table is registered as an empty placeholder — enough for the
@@ -153,16 +162,14 @@ class ShardServer:
         page-cache mappings — N workers on one host keep one physical
         copy of the hot columns instead of N private ones.
         """
-        for name in self.service.store.names():
-            try:
-                stored = self.service.store.get(name)
-            except KeyError:
-                continue
-            table_name = stored.table_name or ""
-            if table_name and table_name not in self._placeholders:
-                self.service.register_table(table_name, Table({}))
-                self._placeholders.add(table_name)
-            self.service.publish_stored(name, stored)
+        stored = self.service.store.get(name, version)
+        table_name = stored.table_name or ""
+        if table_name and table_name not in self._tables.values():
+            self.service.register_table(table_name, Table({}))
+        live = self.service.publish_stored(name, stored)
+        if live:
+            self._tables[name] = table_name
+        return live
 
     # ------------------------------------------------------------------
     # protocol
@@ -183,16 +190,17 @@ class ShardServer:
             "epoch": self.service.epoch,
         }
 
-    def _op_sample_meta(self) -> Dict:
-        """Everything the front needs to build its merged routing view:
-        per-sample allocation (keys, populations, sizes, per-column
-        moments — exact, never split across shards), served version and
-        lineage."""
+    def _op_sample_meta(self, names=None) -> Dict:
+        """Everything the front needs to build its merged routing view
+        of the served samples (all of them, or just ``names``):
+        allocation (keys, populations, sizes, per-column moments —
+        exact, never split across shards), served version and lineage,
+        plus each sample's base-table name under ``tables``."""
         samples = {}
-        for name in self.service.samples():
-            sample, version, lineage = self.service.snapshot_sample(name)
-            if sample is None:
+        for name in self.service.samples() if names is None else names:
+            if name not in self._tables:
                 continue
+            sample, version, lineage = self.service.snapshot_sample(name)
             samples[name] = {
                 "allocation": sample.allocation,
                 "version": version,
@@ -206,14 +214,10 @@ class ShardServer:
                 "source_rows": sample.source_rows,
                 "budget": sample.budget,
             }
-        stored_tables = {
-            name: self.service.store.get(name).table_name
-            for name in self.service.store.names()
-        }
         return {
             "shard": self.shard_index,
             "samples": samples,
-            "tables": stored_tables,
+            "tables": {name: self._tables[name] for name in samples},
         }
 
     def _op_partials(
@@ -273,38 +277,19 @@ class ShardServer:
         report = self.service.maintainer.refresh(
             name, batch, seed=seed, columns=columns
         )
-        stored = self.service.store.get(name, report.version)
-        self.service.publish_stored(name, stored)
+        self._adopt(name, report.version)
         return {"report": report}
 
-    def _op_put(self, name: str, sample, table_name=None,
-                lineage=None, extra=None) -> Dict:
-        """Adopt a rebuilt shard piece pushed down by the front (the
-        central-rebuild path) and swap it live."""
-        version = self.service.store.put(
-            name, sample, table_name=table_name, lineage=lineage,
-            extra=extra,
-        )
-        stored = self.service.store.get(name, version)
-        if table_name and table_name not in self._placeholders:
-            self.service.register_table(table_name, Table({}))
-            self._placeholders.add(table_name)
-        self.service.publish_stored(name, stored)
-        self.service.store.prune(
-            name, keep=self.service.maintainer.keep_versions
-        )
-        return {"version": version}
+    def _op_reload(self, names) -> Dict:
+        """Re-read the store's current version of each sample (written
+        out-of-band by the front) and swap it live."""
+        return {"live": {name: self._adopt(name) for name in names}}
 
-    def _op_reload(self, name: str) -> Dict:
-        """Re-read the store's current version (written out-of-band by
-        another process) and swap it live."""
-        stored = self.service.store.get(name)
-        table_name = stored.table_name or ""
-        if table_name and table_name not in self._placeholders:
-            self.service.register_table(table_name, Table({}))
-            self._placeholders.add(table_name)
-        live = self.service.publish_stored(name, stored)
-        return {"version": stored.version, "live": live}
+    def _op_drop(self, name: str) -> Dict:
+        """Stop serving a sample the front deleted from the store."""
+        self._tables.pop(name, None)
+        self.service.drop_sample(name)
+        return {"ok": True}
 
     def _op_stats(self) -> Dict:
         stats = self.service.stats()

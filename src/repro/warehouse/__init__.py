@@ -8,7 +8,10 @@ with cross-process write coordination (fsync'd manifest log + advisory
 lock files), kept fresh in one pass per appended batch (streaming
 CVOPT warm-start with shrink-only re-balance and a full-rebuild
 escalation rule), and served to concurrent readers through the AQP
-router behind a read-write lock and an answer cache.
+router behind a read-write lock and an answer cache — by one front
+(:class:`WarehouseService`) over either topology: sample rows in this
+process, or stratum-hash sharded over N workers
+(:class:`ShardedWarehouseService`).
 """
 
 from .advisor import AdvisorPlan, Candidate, Recommendation, advise
@@ -47,12 +50,8 @@ from .partials import (
     finalize_partials,
     merge_partials,
 )
-from .service import (
-    LRUCache,
-    RWLock,
-    WarehouseService,
-    WindowedRefreshReport,
-)
+from ..concurrency import LRUCache, RWLock
+from .service import WarehouseService, WindowedRefreshReport
 from .sharded_service import ShardedWarehouseService
 from .sharding import (
     SHARD_SCHEME,

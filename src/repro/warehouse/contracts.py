@@ -162,11 +162,9 @@ def build_contract(
 ):
     """Contract + violation list for one routing decision.
 
-    The single implementation behind both the in-process
-    :class:`~repro.warehouse.service.WarehouseService` and the sharded
-    scatter-gather front — the two serving paths must emit contracts of
-    identical shape from identical inputs, so the derivation lives
-    here. ``route`` is an :class:`~repro.aqp.session.RouteDecision`;
+    Called by :class:`~repro.warehouse.service.WarehouseService` for
+    either topology. ``route`` is an
+    :class:`~repro.aqp.session.RouteDecision`;
     ``sample_version``/``lineage``/``staleness``/``group_keys``
     describe the served sample (merged across shards when sharded) and
     are ignored for exact routes. Returns ``(contract, violations)``.

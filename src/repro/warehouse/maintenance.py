@@ -48,6 +48,7 @@ from ..engine.statistics import (
     collect_strata_statistics,
 )
 from ..engine.table import Table
+from .sharding import join_versions
 from .store import SampleStore, StoredSample, derive_columns_block
 from .windows import parse_window, partition_by_window, window_sample_name
 
@@ -139,6 +140,9 @@ class SampleMaintainer:
     ----------
     store:
         The :class:`~repro.warehouse.store.SampleStore` to read/write.
+        Builds also accept a
+        :class:`~repro.warehouse.sharding.ShardedSampleStore` (same
+        ``put``/``prune``); refreshes need the single-store ``get``.
     cv_degradation_threshold:
         Escalate to a full rebuild when any tracked column's
         predicted-CV objective exceeds this multiple of the optimal
@@ -174,36 +178,22 @@ class SampleMaintainer:
         budget: int,
         table_name: Optional[str] = None,
         seed: int = 0,
+        action: str = "build",
     ) -> BuildReport:
         """Two-pass CVOPT build, persisted as a new version.
 
         Every column in ``value_columns`` is *tracked*: its per-stratum
         moments are collected, persisted, and kept exact by subsequent
         refreshes. The first column is the primary (re-balance driver)
-        for incremental maintenance.
+        for incremental maintenance. ``action`` is the lineage tag —
+        ``"rebuild"`` when an escalated refresh replaces a drifted
+        sample rather than creating a new one.
         """
-        value_columns = list(dict.fromkeys(value_columns))
-        if not value_columns:
-            raise ValueError("need at least one value column")
-        spec = GroupByQuerySpec(
-            group_by=tuple(group_by), aggregates=tuple(value_columns)
-        )
-        sampler = CVOptSampler([spec])
-        sample = sampler.sample(table, budget, seed=seed)
+        value_columns = _checked_columns(value_columns)
+        sample = _cvopt_sample(table, group_by, value_columns, budget, seed)
         lineage = _fresh_lineage(value_columns, sample.source_rows)
-        version = self.store.put(
-            name, sample, table_name=table_name, lineage=lineage
-        )
-        self.store.prune(name, keep=self.keep_versions)
-        return BuildReport(
-            name=name,
-            version=version,
-            rows=sample.num_rows,
-            strata=sample.allocation.num_strata,
-            budget=sample.budget,
-            source_rows=sample.source_rows,
-            columns=list(value_columns),
-        )
+        lineage["action"] = action
+        return self._commit(name, sample, value_columns, table_name, lineage)
 
     def build_windowed(
         self,
@@ -227,23 +217,19 @@ class SampleMaintainer:
         ``max_event_ts``, the newest covered event, which is what
         event-time staleness is measured from.
         """
-        value_columns = list(dict.fromkeys(value_columns))
-        if not value_columns:
-            raise ValueError("need at least one value column")
+        value_columns = _checked_columns(value_columns)
         if ts_column not in table:
             raise KeyError(f"timestamp column {ts_column!r} not in table")
         width = parse_window(window)
         report = WindowedBuildReport(
             name=name, column=ts_column, width=width
         )
-        spec = GroupByQuerySpec(
-            group_by=tuple(group_by), aggregates=tuple(value_columns)
-        )
         for start, part in partition_by_window(
             table, ts_column, width
         ).items():
-            member = window_sample_name(name, start)
-            sample = CVOptSampler([spec]).sample(part, budget, seed=seed)
+            sample = _cvopt_sample(
+                part, group_by, value_columns, budget, seed
+            )
             window_block = {
                 "column": ts_column,
                 "width": width,
@@ -255,27 +241,42 @@ class SampleMaintainer:
             lineage["max_event_ts"] = int(
                 part.column(ts_column).values_numeric().max()
             )
-            version = self.store.put(
-                member,
-                sample,
-                table_name=table_name,
-                lineage=lineage,
-                window=window_block,
-            )
-            self.store.prune(member, keep=self.keep_versions)
             report.starts.append(int(start))
             report.windows.append(
-                BuildReport(
-                    name=member,
-                    version=version,
-                    rows=sample.num_rows,
-                    strata=sample.allocation.num_strata,
-                    budget=sample.budget,
-                    source_rows=sample.source_rows,
-                    columns=list(value_columns),
+                self._commit(
+                    window_sample_name(name, start), sample,
+                    value_columns, table_name, lineage, window_block,
                 )
             )
         return report
+
+    def _commit(
+        self,
+        name: str,
+        sample: StratifiedSample,
+        value_columns: List[str],
+        table_name: Optional[str],
+        lineage: Dict,
+        window: Optional[Dict] = None,
+    ) -> BuildReport:
+        """Persist a freshly built sample as a new version and prune."""
+        version = self.store.put(
+            name, sample, table_name=table_name, lineage=lineage,
+            window=window,
+        )
+        self.store.prune(name, keep=self.keep_versions)
+        if not isinstance(version, str):
+            # A sharded store commits one version per shard piece.
+            version = join_versions(version)
+        return BuildReport(
+            name=name,
+            version=version,
+            rows=sample.num_rows,
+            strata=sample.allocation.num_strata,
+            budget=sample.budget,
+            source_rows=sample.source_rows,
+            columns=list(value_columns),
+        )
 
     # ------------------------------------------------------------------
     # refreshing
@@ -346,12 +347,9 @@ class SampleMaintainer:
                     + list(stored_stats.columns if stored_stats else ())
                 )
             )
-            spec = GroupByQuerySpec(
-                group_by=sample.allocation.by,
-                aggregates=tuple(rebuild_columns),
-            )
-            sample = CVOptSampler([spec]).sample(
-                full_table, stored.sample.budget, seed=seed
+            sample = _cvopt_sample(
+                full_table, sample.allocation.by, rebuild_columns,
+                stored.sample.budget, seed,
             )
             drift_by_column = allocation_drift_by_column(
                 sample, value_columns
@@ -692,6 +690,27 @@ def _merge_statistics(
         final.columns[column] = ColumnStats(
             count=count, total=total, total_sq=total_sq
         )
+
+
+def _checked_columns(value_columns: Sequence[str]) -> List[str]:
+    columns = list(dict.fromkeys(value_columns))
+    if not columns:
+        raise ValueError("need at least one value column")
+    return columns
+
+
+def _cvopt_sample(
+    table: Table,
+    group_by: Sequence[str],
+    value_columns: Sequence[str],
+    budget: int,
+    seed: int,
+) -> StratifiedSample:
+    """The one two-pass CVOPT draw every build and rebuild goes through."""
+    spec = GroupByQuerySpec(
+        group_by=tuple(group_by), aggregates=tuple(value_columns)
+    )
+    return CVOptSampler([spec]).sample(table, budget, seed=seed)
 
 
 def _fresh_lineage(value_columns: Sequence[str], base_rows: int) -> Dict:

@@ -1,7 +1,13 @@
-"""Concurrent serving front for the sample warehouse.
+"""The warehouse's one serving front.
 
 :class:`WarehouseService` glues the persistent store, the maintenance
-pipeline and the AQP router into one thread-safe endpoint:
+pipeline and the AQP router into one thread-safe endpoint, over either
+topology (:mod:`repro.warehouse.topology`): sample rows in this process
+(the default) or spread over N shard workers
+(:class:`~repro.warehouse.sharded_service.ShardedWarehouseService`).
+Everything a query or a maintenance round *means* lives here, once —
+routing, contracts, the answer cache, windowed families, locking; the
+topology only says where rows are and how a routed query reaches them.
 
 * **reads** (:meth:`query`) run concurrently under a read-write lock's
   shared side, route through an :class:`~repro.aqp.session.AQPSession`
@@ -10,12 +16,12 @@ pipeline and the AQP router into one thread-safe endpoint:
   dashboard re-issuing the same SQL is a dictionary hit;
 * **writes** (:meth:`build`, :meth:`refresh`, :meth:`register_table`)
   do their heavy lifting — two-pass builds, streaming ingests, store
-  I/O — *outside* the write lock, then take it only for the in-memory
-  swap: replace the routed sample, append the batch to the base table
-  (so exact fallback stays consistent), bump the epoch, drop stale
-  cached answers. Readers therefore block only for the swap, never for
-  the sampling work; concurrent writers are serialized by a separate
-  maintenance mutex.
+  I/O, worker RPCs — *outside* the write lock, then take it only for
+  the in-memory swap: replace the routed sample, append the batch to
+  the base table (so exact fallback stays consistent), bump the epoch,
+  drop stale cached answers. Readers therefore block only for the swap,
+  never for the sampling work; concurrent writers are serialized by a
+  separate maintenance mutex, held once per maintenance round.
 
 Thread-safety note: the session's internal plan cache is shared by
 concurrent readers; its mutations are benign under the GIL (worst case
@@ -27,18 +33,16 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from dataclasses import dataclass, field
-
 from ..aqp.session import AQPResult, AQPSession, RouteDecision
+from ..concurrency import LRUCache, RWLock
 from ..engine.groupcache import default_group_code_cache
 from ..engine.sql.parser import parse_query
 from ..engine.sql.planner import extract_time_bounds
-from ..obs import default_registry, default_tracer
 from ..engine.table import Table
+from ..obs import default_registry, default_tracer
 from ..workload.model import Workload
 from .advisor import AdvisorPlan, advise
 from .contracts import (
@@ -50,30 +54,22 @@ from .contracts import (
 from .maintenance import (
     BuildReport,
     RefreshReport,
-    SampleMaintainer,
     StalenessInfo,
     WindowedBuildReport,
     staleness_from_lineage,
     tracked_columns_from_lineage,
 )
-from .store import SampleStore, StoreEntryStats
+from .topology import LiveSample, LocalTopology
 from .windows import (
     SLIDE_SUFFIX,
     covering_window_starts,
-    merge_window_samples,
-    parse_window,
     parse_window_sample_name,
     partition_by_window,
     window_decay_factors,
     window_sample_name,
 )
 
-__all__ = [
-    "WarehouseService",
-    "WindowedRefreshReport",
-    "RWLock",
-    "LRUCache",
-]
+__all__ = ["WarehouseService", "WindowedRefreshReport"]
 
 _TRACER = default_tracer()
 _QUERIES = default_registry().counter(
@@ -124,120 +120,6 @@ class WindowedRefreshReport:
     reports: List = field(default_factory=list)
 
 
-class RWLock:
-    """Reader-writer lock, writer-preferring.
-
-    Many readers may hold the lock at once; a writer waits for them to
-    drain and blocks new readers while waiting (no writer starvation).
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read(self):
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write(self):
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
-class LRUCache:
-    """Small thread-safe LRU map for answered queries."""
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        with self._lock:
-            try:
-                value = self._entries.pop(key)
-            except KeyError:
-                self.misses += 1
-                return None
-            self._entries[key] = value  # move to MRU end
-            self.hits += 1
-            return value
-
-    def put(self, key, value) -> None:
-        if self.capacity == 0:
-            return
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def counters(self) -> Dict[str, int]:
-        """Atomic ``{size, capacity, hits, misses}`` snapshot.
-
-        ``hits``/``misses``/size are mutated together under the cache
-        lock; reading them as separate attribute accesses (as `/stats`
-        once did) can observe a torn view mid-lookup during a version
-        hot-swap. Always report them via this method.
-        """
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class WarehouseService:
     """Thread-safe query endpoint over a persistent sample warehouse.
 
@@ -262,16 +144,25 @@ class WarehouseService:
         backend=None,
         cache_scope: str = "",
     ) -> None:
-        self.store = (
-            store
-            if isinstance(store, SampleStore)
-            else SampleStore(store, backend=backend)
+        self._start(
+            LocalTopology(
+                store,
+                backend=backend,
+                cv_degradation_threshold=cv_degradation_threshold,
+                keep_versions=keep_versions,
+            ),
+            tables,
+            cache_size,
+            cache_scope,
         )
-        self.maintainer = SampleMaintainer(
-            self.store,
-            cv_degradation_threshold=cv_degradation_threshold,
-            keep_versions=keep_versions,
-        )
+
+    def _start(
+        self, topology, tables, cache_size: int, cache_scope: str = ""
+    ) -> None:
+        """Shared constructor body: serve ``topology``'s samples."""
+        self._topology = topology
+        self.store = topology.store
+        self.maintainer = topology.maintainer
         self._session = AQPSession(tables)
         # Distinguishes services sharing one process that serve
         # different row sets under the same (sample, version) — e.g.
@@ -281,8 +172,7 @@ class WarehouseService:
         self._maintenance = threading.Lock()  # serializes writers' work
         self._cache = LRUCache(cache_size)
         self._epoch = 0
-        self._versions: Dict[str, str] = {}  # sample -> served version
-        self._lineages: Dict[str, Dict] = {}  # sample -> served lineage
+        self._live: Dict[str, LiveSample] = {}  # samples being served
         self._orphans: Dict[str, str] = {}  # sample -> missing base table
         #: Windowed sample families, keyed by base name. Each value
         #: holds the partitioning config and the retained members:
@@ -299,7 +189,14 @@ class WarehouseService:
         #: epoch bump that would empty the answer cache).
         self._slides: Dict[str, tuple] = {}
         self.queries_served = 0
-        self._warm_start()
+        # Warm start: adopt every stored sample whose base table is
+        # registered. Family bookkeeping survives orphaning — refresh
+        # rolls windows forward purely against the store, so a
+        # maintenance-only process (no base table registered, e.g.
+        # ``warehouse refresh`` from the CLI) still routes batches by
+        # window.
+        for name, view in topology.live().items():
+            self._adopt_locked(name, view)
 
     # ------------------------------------------------------------------
     # registration / building
@@ -308,20 +205,12 @@ class WarehouseService:
         """Register (or replace) a base table; adopts any stored samples
         that were waiting for it."""
         with self._maintenance:
-            adopted = [
-                s for s, t in self._orphans.items() if t == name
-            ]
-            loaded = {s: self.store.get(s) for s in adopted}
+            waiting = [s for s, t in self._orphans.items() if t == name]
+            views = self._topology.live(waiting) if waiting else {}
             with self._lock.write():
                 self._session.register_table(name, table)
-                for sample_name, stored in loaded.items():
-                    self._stamp_cache_token(sample_name, stored)
-                    self._session.register_sample(
-                        sample_name, stored.sample, name, replace=True
-                    )
-                    self._versions[sample_name] = stored.version
-                    self._lineages[sample_name] = dict(stored.lineage)
-                    del self._orphans[sample_name]
+                for sample_name, view in views.items():
+                    self._adopt_locked(sample_name, view)
                 self._bump()
 
     def build(
@@ -335,27 +224,18 @@ class WarehouseService:
     ) -> BuildReport:
         """Two-pass build into the store, then swap it live."""
         with self._maintenance:
-            with self._lock.read():
-                table = self._session.tables.get(table_name)
-            if table is None:
-                raise KeyError(f"unknown base table {table_name!r}")
             report = self.maintainer.build(
                 name,
-                table,
+                self._base_table(table_name),
                 group_by=group_by,
                 value_columns=value_columns,
                 budget=budget,
                 table_name=table_name,
                 seed=seed,
             )
-            stored = self.store.get(name, report.version)
-            self._stamp_cache_token(name, stored)
+            view = self._topology.live([name], reload=True)[name]
             with self._lock.write():
-                self._session.register_sample(
-                    name, stored.sample, table_name, replace=True
-                )
-                self._versions[name] = report.version
-                self._lineages[name] = dict(stored.lineage)
+                self._adopt_locked(name, view)
                 self._bump()
         return report
 
@@ -386,20 +266,18 @@ class WarehouseService:
         ...]`` predicate covered by retained windows route to the
         member (single window) or to a merged slide sample
         (:data:`~repro.warehouse.windows.SLIDE_SUFFIX`) whose
-        per-(stratum, column) moments are summed exactly.
+        per-(stratum, column) moments are summed exactly. Windows and
+        shards partition rows along orthogonal axes (time vs. stratum
+        hash), so all of this holds on either topology.
         """
         if decay is not None and not (0.0 < float(decay) <= 1.0):
             raise ValueError("decay must be in (0, 1]")
         if retention is not None and int(retention) < 1:
             raise ValueError("retention must be >= 1 window")
         with self._maintenance:
-            with self._lock.read():
-                table = self._session.tables.get(table_name)
-            if table is None:
-                raise KeyError(f"unknown base table {table_name!r}")
             report = self.maintainer.build_windowed(
                 name,
-                table,
+                self._base_table(table_name),
                 group_by=group_by,
                 value_columns=value_columns,
                 budget=budget,
@@ -408,10 +286,9 @@ class WarehouseService:
                 table_name=table_name,
                 seed=seed,
             )
-            width = report.width
             family = {
                 "column": ts_column,
-                "width": width,
+                "width": report.width,
                 "decay": float(decay) if decay is not None else None,
                 "retention": int(retention) if retention else None,
                 "table_name": table_name,
@@ -425,38 +302,18 @@ class WarehouseService:
             if retention and len(keep) > int(retention):
                 expired = keep[: -int(retention)]
                 keep = keep[-int(retention):]
-            loaded = {}
-            for window_report in report.windows:
-                start = int(window_report.name.rsplit("@w", 1)[1])
-                if start in expired:
-                    continue
-                loaded[start] = self.store.get(
-                    window_report.name, window_report.version
-                )
+            views = self._topology.live(
+                [window_sample_name(name, start) for start in keep],
+                reload=True,
+            )
             with self._lock.write():
-                for start in keep:
-                    stored = loaded[start]
-                    member = window_sample_name(name, start)
-                    self._stamp_cache_token(member, stored)
-                    self._session.register_sample(
-                        member,
-                        stored.sample,
-                        table_name,
-                        replace=True,
-                        window={
-                            "column": ts_column,
-                            "start": start,
-                            "end": start + width,
-                        },
-                    )
-                    self._versions[member] = stored.version
-                    self._lineages[member] = dict(stored.lineage)
-                    family["windows"][start] = stored.version
                 self._drop_slide_locked(name)
                 self._families[name] = family
+                for member, view in views.items():
+                    self._adopt_locked(member, view)
                 self._bump()
             for start in expired:
-                self.store.delete(window_sample_name(name, start))
+                self._topology.delete(window_sample_name(name, start))
         return report
 
     # ------------------------------------------------------------------
@@ -468,12 +325,17 @@ class WarehouseService:
         batch: Table,
         seed: int = 0,
         columns: Optional[Sequence[str]] = None,
+        full_table: Optional[Table] = None,
     ) -> RefreshReport:
         """Fold an appended batch into sample ``name`` and swap the new
         version live; the base table grows by ``batch`` too, so exact
         fallback keeps matching the sampled reality. ``columns``
         overrides the tracked value-column set for this and subsequent
-        refreshes (default: the build-time lineage).
+        refreshes (default: the build-time lineage). When drift crosses
+        the escalation threshold the sample is rebuilt from the grown
+        base table — or, in a maintenance-only process that registered
+        no base table, from ``full_table`` (the complete data, this
+        batch included).
 
         When ``name`` is a windowed family base, the batch is instead
         partitioned by the family's timestamp column and rolled
@@ -482,29 +344,25 @@ class WarehouseService:
         if name in self._families:
             return self._refresh_windowed(name, batch, seed=seed)
         with self._maintenance:
-            stored = self.store.get(name)
-            table_name = stored.table_name
-            with self._lock.read():
-                base = (
-                    self._session.tables.get(table_name)
-                    if table_name
-                    else None
-                )
-            grown = base.concat(batch) if base is not None else None
-            report = self.maintainer.refresh(
-                name, batch, full_table=grown, seed=seed, columns=columns
+            if name in self._live:
+                table_name = self._live[name].table_name
+            elif name in self._orphans:
+                table_name = self._orphans[name]
+            else:  # committed by another process since warm start
+                table_name = self._topology.live([name])[name].table_name
+            grown = self._grown(table_name, batch)
+            report = self._topology.ingest(
+                name,
+                batch,
+                full_table=grown if grown is not None else full_table,
+                seed=seed,
+                columns=columns,
             )
-            fresh = self.store.get(name, report.version)
-            self._stamp_cache_token(name, fresh)
+            view = self._topology.live([name])[name]
             with self._lock.write():
                 if grown is not None:
                     self._session.register_table(table_name, grown)
-                if table_name and table_name in self._session.tables:
-                    self._session.register_sample(
-                        name, fresh.sample, table_name, replace=True
-                    )
-                    self._versions[name] = report.version
-                    self._lineages[name] = dict(fresh.lineage)
+                self._adopt_locked(name, view)
                 self._bump()
         return report
 
@@ -525,10 +383,14 @@ class WarehouseService:
           window's published moments never move;
         * with ``retention`` set, members that fall off the horizon
           are dropped from routing and deleted from the store.
+
+        The whole batch is one maintenance critical section and one
+        swap: readers see either none or all of it.
         """
         family = self._families[name]
         column = family["column"]
         width = family["width"]
+        table_name = family["table_name"]
         with self._maintenance:
             if column not in batch:
                 raise ValueError(
@@ -546,10 +408,11 @@ class WarehouseService:
                 if newest is not None and start < newest:
                     report.frozen_rows += part.num_rows
                 elif start in family["windows"]:
-                    member = window_sample_name(name, start)
-                    sub = self.maintainer.refresh(
-                        member, part, seed=seed,
-                        columns=family["value_columns"],
+                    # No full table: a window member is never rebuilt
+                    # from all of history.
+                    sub = self._topology.ingest(
+                        window_sample_name(name, start), part,
+                        seed=seed, columns=family["value_columns"],
                     )
                     report.refreshed.append(start)
                     report.reports.append(sub)
@@ -568,79 +431,46 @@ class WarehouseService:
                     budget=family["budget"],
                     ts_column=column,
                     window=width,
-                    table_name=family["table_name"],
+                    table_name=table_name,
                     seed=seed,
                 )
                 report.opened.extend(built.starts)
                 report.reports.extend(built.windows)
                 if built.windows:
                     report.version = built.windows[-1].version
-            touched = list(report.refreshed) + list(report.opened)
-            loaded = {
-                start: self.store.get(window_sample_name(name, start))
-                for start in touched
-            }
             retention = family.get("retention")
-            horizon = max(
-                set(family["windows"]) | set(report.opened), default=None
-            )
-            expired = []
-            if retention and horizon is not None:
-                floor = horizon - (int(retention) - 1) * width
-                expired = sorted(
-                    s
-                    for s in set(family["windows"]) | set(report.opened)
-                    if s < floor
-                )
-            report.expired = expired
-            table_name = family["table_name"]
-            with self._lock.read():
-                base = self._session.tables.get(table_name)
-            grown = base.concat(batch) if base is not None else None
+            retained = set(family["windows"]) | set(report.opened)
+            if retention and retained:
+                floor = max(retained) - (int(retention) - 1) * width
+                report.expired = sorted(s for s in retained if s < floor)
+
+            def members(starts):
+                return [
+                    window_sample_name(name, s)
+                    for s in starts
+                    if s not in report.expired
+                ]
+
+            views = {
+                **self._topology.live(members(report.opened), reload=True),
+                **self._topology.live(members(report.refreshed)),
+            }
+            grown = self._grown(table_name, batch)
             with self._lock.write():
                 if grown is not None:
                     self._session.register_table(table_name, grown)
-                serving = bool(
-                    table_name and table_name in self._session.tables
-                )
-                for start in touched:
-                    if start in expired:
-                        continue
-                    stored = loaded[start]
-                    member = window_sample_name(name, start)
-                    if serving:
-                        self._stamp_cache_token(member, stored)
-                        self._session.register_sample(
-                            member,
-                            stored.sample,
-                            table_name,
-                            replace=True,
-                            window={
-                                "column": column,
-                                "start": start,
-                                "end": start + width,
-                            },
-                        )
-                        self._versions[member] = stored.version
-                        self._lineages[member] = dict(stored.lineage)
-                    else:
-                        # No base table here (maintenance-only process):
-                        # the store write is the durable outcome, the
-                        # member just stays orphaned for serving.
-                        self._orphans[member] = table_name or ""
-                    family["windows"][start] = stored.version
-                for start in expired:
-                    member = window_sample_name(name, start)
-                    if member in self._versions:
-                        self._session.drop_sample(member)
+                # Without a base table here (maintenance-only process)
+                # the store write is the durable outcome; the members
+                # just stay orphaned for serving.
+                for member, view in views.items():
+                    self._adopt_locked(member, view)
+                for start in report.expired:
+                    self._drop_locked(window_sample_name(name, start))
                     family["windows"].pop(start, None)
-                    self._versions.pop(member, None)
-                    self._lineages.pop(member, None)
-                    self._orphans.pop(member, None)
                 self._drop_slide_locked(name)
                 self._bump()
-            for start in expired:
-                self.store.delete(window_sample_name(name, start))
+            for start in report.expired:
+                self._topology.delete(window_sample_name(name, start))
         return report
 
     def publish_stored(self, name: str, stored=None) -> bool:
@@ -655,28 +485,22 @@ class WarehouseService:
         when it stays orphaned (base table not registered).
         """
         with self._maintenance:
-            if stored is None:
-                stored = self.store.get(name)
-            table_name = stored.table_name
-            self._stamp_cache_token(name, stored)
-            window = getattr(stored, "window", None)
+            view = (
+                LiveSample.from_stored(stored)
+                if stored is not None
+                else self._topology.live([name], reload=True)[name]
+            )
             with self._lock.write():
-                if table_name and table_name in self._session.tables:
-                    self._session.register_sample(
-                        name, stored.sample, table_name, replace=True,
-                        window=window,
-                    )
-                    self._versions[name] = stored.version
-                    self._lineages[name] = dict(stored.lineage)
-                    self._orphans.pop(name, None)
-                    if window is not None:
-                        self._adopt_window_member(name, stored, window)
-                    live = True
-                else:
-                    self._orphans[name] = table_name or ""
-                    live = False
+                serving = self._adopt_locked(name, view)
                 self._bump()
-        return live
+        return serving
+
+    def drop_sample(self, name: str) -> None:
+        """Stop serving ``name``; the store is not touched."""
+        with self._maintenance:
+            with self._lock.write():
+                self._drop_locked(name)
+                self._bump()
 
     def snapshot_sample(self, name: str):
         """Consistent ``(sample, version, lineage)`` snapshot of one
@@ -684,10 +508,11 @@ class WarehouseService:
         returned objects stay valid after a concurrent hot-swap."""
         with self._lock.read():
             sample = self._session.catalog.get(name)
+            view = self._live.get(name)
             return (
                 sample,
-                self._versions.get(name),
-                dict(self._lineages.get(name, {})),
+                view.version if view else None,
+                dict(view.lineage) if view else {},
             )
 
     def staleness(self, name: str) -> StalenessInfo:
@@ -710,12 +535,11 @@ class WarehouseService:
         seed: int = 0,
     ) -> AdvisorPlan:
         """Recommend (and optionally build) samples for a workload."""
-        with self._lock.read():
-            table = self._session.tables.get(table_name)
-        if table is None:
-            raise KeyError(f"unknown base table {table_name!r}")
         plan = advise(
-            workload, table, storage_budget, target_cv=target_cv
+            workload,
+            self._base_table(table_name),
+            storage_budget,
+            target_cv=target_cv,
         )
         if materialize:
             for rec in plan.recommendations:
@@ -738,18 +562,13 @@ class WarehouseService:
         t0 = time.perf_counter()
         self._ensure_slide(sql)
         key = (self._epoch, mode, sql)
-        cached = self._cache.get(key)
+        cached = self._lookup(key, t0)
         if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
             return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
         with self._lock.read():
-            result = self._session.query(sql, mode=mode)
+            result, _ = self._topology.query(
+                self._session, self._live, sql, mode, None
+            )
         self.queries_served += 1
         # A writer may have swapped while we executed; only cache
         # results that are still current.
@@ -771,9 +590,10 @@ class WarehouseService:
 
         The contract (per-group predicted CV, served sample version,
         staleness, exact-fallback flag) is snapshotted under the same
-        read lock as the execution, so it names exactly the version
-        whose rows produced the answer — even while writers hot-swap
-        versions concurrently.
+        read lock as the execution, and its ``sample_version`` is the
+        one the topology reports having computed the answer from, so it
+        names exactly the version whose rows produced the answer — even
+        while writers (or shard workers) hot-swap versions concurrently.
 
         ``max_cv`` bounds the worst per-group predicted CV for the
         column(s) the query aggregates and ``max_staleness`` bounds the
@@ -819,23 +639,17 @@ class WarehouseService:
             )
         key = ("contract", self._epoch, mode, sql, max_cv, max_staleness,
                on_violation)
-        cached = self._cache.get(key)
+        cached = self._lookup(key, t0)
         if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
             return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
-        route_label = "exact"
         with self._lock.read():
-            result = self._session.query(sql, mode=mode, max_cv=max_cv)
+            result, version = self._topology.query(
+                self._session, self._live, sql, mode, max_cv
+            )
             route_label = _route_label(result.route)
             with _TRACER.span("warehouse.contract"):
                 contract, violations = self._contract_for(
-                    result.route, mode, max_cv, max_staleness
+                    result.route, version, mode, max_cv, max_staleness
                 )
             if violations:
                 if on_violation == "reject" or mode == "approx":
@@ -882,13 +696,13 @@ class WarehouseService:
     def served_versions(self) -> Dict[str, str]:
         """Snapshot of ``{sample name: served store version}``."""
         with self._lock.read():
-            return dict(self._versions)
+            return {name: v.version for name, v in self._live.items()}
 
     def served_lineages(self) -> Dict[str, Dict]:
         """Snapshot of each served sample's lineage (staleness, drift,
         refresh history) — in-memory, no store I/O."""
         with self._lock.read():
-            return {name: dict(li) for name, li in self._lineages.items()}
+            return {name: dict(v.lineage) for name, v in self._live.items()}
 
     def sample_summaries(self) -> List[Dict]:
         """One JSON-ready dict per live sample (version, shape,
@@ -896,20 +710,20 @@ class WarehouseService:
         on every ``GET /samples`` without touching the store."""
         with self._lock.read():
             out = []
-            for name in self._session.samples():
-                sample = self._session.catalog.get(name)
-                lineage = self._lineages.get(name, {})
+            for name, view in self._live.items():
+                lineage = view.lineage
+                allocation = view.sample.allocation
                 tracked = tracked_columns_from_lineage(
-                    lineage, sample.allocation.stats
+                    lineage, allocation.stats
                 )
                 out.append(
                     {
                         "name": name,
-                        "version": self._versions.get(name),
+                        "version": view.version,
                         "window": self._session.sample_window(name),
-                        "rows": sample.num_rows,
-                        "strata": sample.allocation.num_strata,
-                        "by": list(sample.allocation.by),
+                        "rows": view.rows,
+                        "strata": allocation.num_strata,
+                        "by": list(allocation.by),
                         "columns": tracked,
                         "primary_column": tracked[0] if tracked else None,
                         "staleness": staleness_from_lineage(lineage),
@@ -923,6 +737,7 @@ class WarehouseService:
                         "needs_rebuild": bool(
                             lineage.get("needs_rebuild", False)
                         ),
+                        **self._topology.summary_extra,
                     }
                 )
             return out
@@ -934,69 +749,87 @@ class WarehouseService:
                 "status": "ok",
                 "epoch": self._epoch,
                 "tables": len(self._session.tables),
-                "samples": len(self._versions),
+                "samples": len(self._live),
                 "queries_served": self.queries_served,
+                **self._topology.health(),
             }
 
     def stats(self) -> Dict:
-        """Store accounting + serving counters in one snapshot."""
-        entries: List[StoreEntryStats] = self.store.stats()
-        store_info = {
-            "root": str(self.store.root),
-            "backend": getattr(self.store.backend, "name", "npz"),
-            "manifest": self.store.manifest_position(),
-        }
+        """Serving counters plus the topology's store accounting (and,
+        when sharded, every worker's own snapshot) in one dict."""
         with self._lock.read():
-            session = self._session
-            return {
-                "epoch": self._epoch,
-                "queries_served": self.queries_served,
-                "store": store_info,
-                "answer_cache": self._cache.counters(),
-                "groupcode_cache": default_group_code_cache().counters(),
-                "plan_cache": {
-                    "hits": session.plan_cache_hits,
-                    "misses": session.plan_cache_misses,
-                },
-                "tables": {
-                    name: table.num_rows
-                    for name, table in session.tables.items()
-                },
-                "samples": {
-                    e.name: {
-                        "version": e.current_version,
-                        "served_version": self._versions.get(e.name),
-                        "versions": e.num_versions,
-                        "rows": e.rows,
-                        "strata": e.strata,
-                        "by": list(e.by),
-                        "columns": dict(e.columns),
-                        "method": e.method,
-                        "backend": e.backend,
-                        "bytes": e.bytes_on_disk,
-                        "staleness": e.lineage.get("staleness", 0.0),
-                        "needs_rebuild": e.lineage.get(
-                            "needs_rebuild", False
-                        ),
-                    }
-                    for e in entries
-                },
+            live = dict(self._live)
+            epoch = self._epoch
+            tables = {
+                name: table.num_rows
+                for name, table in self._session.tables.items()
             }
+        blocks = self._topology.stats(live, self._session)
+        return {
+            "epoch": epoch,
+            "queries_served": self.queries_served,
+            "store": blocks.pop("store"),
+            "answer_cache": self._cache.counters(),
+            "groupcode_cache": default_group_code_cache().counters(),
+            "tables": tables,
+            **blocks,
+        }
+
+    def close(self) -> None:
+        """Release whatever the topology holds (shard workers, the
+        fan-out pool); a no-op for the local one."""
+        self._topology.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _lookup(self, key, t0: float):
+        """Answer-cache probe with its counters; the hit path ends here."""
+        cached = self._cache.get(key)
+        if cached is None:
+            _ANSWER_CACHE.inc(result="miss")
+            _TRACER.annotate(answer_cache="miss")
+            return None
+        self.queries_served += 1
+        _ANSWER_CACHE.inc(result="hit")
+        _TRACER.annotate(answer_cache="hit")
+        _QUERIES.inc(route="cached")
+        _QUERY_SECONDS.observe(time.perf_counter() - t0)
+        return cached
+
+    def _base_table(self, table_name: str) -> Table:
+        with self._lock.read():
+            table = self._session.tables.get(table_name)
+        if table is None:
+            raise KeyError(f"unknown base table {table_name!r}")
+        return table
+
+    def _grown(self, table_name: Optional[str], batch: Table):
+        """The base table with ``batch`` appended (``None`` when this
+        process holds no such table)."""
+        with self._lock.read():
+            base = self._session.tables.get(table_name)
+        return base.concat(batch) if base is not None else None
+
     def _contract_for(
         self,
         route: RouteDecision,
+        version: Optional[str],
         mode: str,
         max_cv: Optional[float],
         max_staleness: Optional[float],
     ):
         """Contract + violation list for a routing decision.
 
-        Caller must hold the read lock, so the version/lineage snapshot
-        is consistent with the sample the route was computed against.
+        Caller must hold the read lock, so the lineage/allocation
+        snapshot is consistent with the sample the route was computed
+        against; ``version`` is what the topology says answered.
         """
         if not route.approximate:
             return build_contract(
@@ -1004,15 +837,15 @@ class WarehouseService:
                 sample_version=None, lineage={}, staleness=0.0,
                 group_keys=None,
             )
-        name = route.sample_name
-        lineage = self._lineages.get(name, {})
-        sample = self._session.catalog.get(name)
+        view = self._live[route.sample_name]
         return build_contract(
             route, mode, max_cv, max_staleness,
-            sample_version=self._versions.get(name),
-            lineage=lineage,
-            staleness=staleness_from_lineage(lineage),
-            group_keys=tuple(tuple(k) for k in sample.allocation.keys),
+            sample_version=version,
+            lineage=view.lineage,
+            staleness=staleness_from_lineage(view.lineage),
+            group_keys=tuple(
+                tuple(k) for k in view.sample.allocation.keys
+            ),
             window_bounds=route.window_bounds,
         )
 
@@ -1080,48 +913,40 @@ class WarehouseService:
         sample and swap it live (no-op when the registered slide was
         merged from exactly these versions)."""
         slide = base + SLIDE_SUFFIX
-        with self._lock.read():
-            signature = tuple(
-                (start, family["windows"].get(start)) for start in starts
-            )
-        if any(v is None for _, v in signature):
-            return  # member expired between check and merge
-        if self._slides.get(slide) == signature:
+
+        def current_signature():
+            with self._lock.read():
+                return tuple(
+                    (start, family["windows"].get(start))
+                    for start in starts
+                )
+
+        if self._slides.get(slide) == current_signature():
             return
         with self._maintenance:
-            signature = tuple(
-                (start, family["windows"].get(start)) for start in starts
-            )
-            if any(v is None for _, v in signature):
-                return
+            signature = current_signature()
             if self._slides.get(slide) == signature:
                 return
-            members = [
-                self.store.get(window_sample_name(base, start), version)
-                for start, version in signature
-            ]
+            names = [window_sample_name(base, start) for start in starts]
+            with self._lock.read():
+                members = [self._live.get(member) for member in names]
+            if any(m is None for m in members):
+                return  # member expired or not serving; exact fallback
             factors = None
             if family.get("decay"):
                 by_start = window_decay_factors(
-                    [start for start, _ in signature],
-                    family["width"],
-                    family["decay"],
+                    starts, family["width"], family["decay"]
                 )
-                factors = [by_start[start] for start, _ in signature]
-            merged = merge_window_samples(
-                [m.sample for m in members], factors=factors
-            )
-            width = family["width"]
+                factors = [by_start[start] for start in starts]
             window_block = {
                 "column": family["column"],
-                "start": int(signature[0][0]),
-                "end": int(signature[-1][0]) + width,
+                "start": int(starts[0]),
+                "end": int(starts[-1]) + family["width"],
             }
-            version = "+".join(version for _, version in signature)
             lineage = {
                 "action": "window-merge",
                 "window": dict(window_block),
-                "windows": [start for start, _ in signature],
+                "windows": list(starts),
                 "value_columns": list(family["value_columns"]),
                 "drift": max(
                     float(m.lineage.get("drift", 1.0)) for m in members
@@ -1138,118 +963,87 @@ class WarehouseService:
             ]
             if event_ts:
                 lineage["max_event_ts"] = int(max(event_ts))
-            merged.table.cache_token = (self._cache_scope, slide, version)
+            versions = tuple(m.version for m in members)
+            view = LiveSample(
+                sample=self._topology.merge_slide(members, factors),
+                table_name=family["table_name"],
+                version="+".join(versions),
+                lineage=lineage,
+                window=window_block,
+                rows=sum(m.rows for m in members),
+                versions=versions,
+                parts=tuple(
+                    zip(names, factors or [1.0] * len(names))
+                ),
+            )
             with self._lock.write():
-                self._session.register_sample(
-                    slide,
-                    merged,
-                    family["table_name"],
-                    replace=True,
-                    window=window_block,
-                )
-                self._versions[slide] = version
-                self._lineages[slide] = lineage
+                self._adopt_locked(slide, view)
                 self._slides[slide] = signature
                 self._bump()
+
+    def _adopt_locked(self, name: str, view: LiveSample) -> bool:
+        """Serve ``view`` as sample ``name`` when its base table is
+        registered, else park it as an orphan; window members also join
+        their family registry. Caller holds the write lock.
+
+        Stamping the cache token marks this version's table immutable
+        for the per-version group-code cache
+        (:mod:`repro.engine.groupcache`): every ``live`` report carries
+        a fresh :class:`Table`, so the stamp covers exactly one
+        immutable incarnation; the version keeps hot-swapped versions
+        apart, and the scope keeps in-process shard workers (same
+        name+version, different rows) apart.
+        """
+        table_name = view.table_name
+        serving = bool(table_name and table_name in self._session.tables)
+        if serving:
+            view.sample.table.cache_token = (
+                self._cache_scope, name, view.version,
+            )
+            self._session.register_sample(
+                name, view.sample, table_name, replace=True,
+                window=view.window,
+            )
+            self._live[name] = view
+            self._orphans.pop(name, None)
+        else:
+            self._orphans[name] = table_name or ""
+        if view.window is not None and not view.parts:
+            # A window member: family-level build parameters (group-by,
+            # tracked columns, per-window budget) are recovered from the
+            # member itself so a restarted service can keep opening new
+            # windows on refresh.
+            parsed = parse_window_sample_name(name)
+            family = self._families.setdefault(
+                parsed[0] if parsed else name,
+                {
+                    "column": str(view.window["column"]),
+                    "width": int(view.window["width"]),
+                    "decay": None,
+                    "retention": None,
+                    "table_name": table_name,
+                    "group_by": list(view.sample.allocation.by),
+                    "value_columns": tracked_columns_from_lineage(
+                        view.lineage, view.sample.allocation.stats
+                    ),
+                    "budget": int(view.sample.budget),
+                    "windows": {},
+                },
+            )
+            family["windows"][int(view.window["start"])] = view.version
+        return serving
+
+    def _drop_locked(self, name: str) -> None:
+        """Stop serving ``name``. Caller holds the write lock."""
+        if self._live.pop(name, None) is not None:
+            self._session.drop_sample(name)
+        self._orphans.pop(name, None)
 
     def _drop_slide_locked(self, base: str) -> None:
         """Unregister the family's slide sample (members changed, so
         the merge is stale). Caller holds the write lock."""
-        slide = base + SLIDE_SUFFIX
-        if slide in self._slides:
-            self._session.drop_sample(slide)
-            self._slides.pop(slide, None)
-            self._versions.pop(slide, None)
-            self._lineages.pop(slide, None)
-
-    def _warm_start(self) -> None:
-        """Adopt every stored sample whose base table is registered.
-
-        A sample with no readable version (e.g. memory-backend blobs
-        from another process) is skipped rather than failing startup —
-        the store keeps it for whoever can read it. Window members
-        (format-4 metas carrying a ``window`` block) are additionally
-        folded back into their family registry so sliding-window
-        routing survives a restart.
-
-        With the mmap backend the ``store.get`` here is O(metadata):
-        sample tables come back lazy and no column bytes are read until
-        a query touches them, so warm start (and the daemon's version
-        hot-swap, which rides the same path) costs parse-the-sidecar
-        per sample regardless of row counts.
-        """
-        for name in self.store.names():
-            try:
-                stored = self.store.get(name)
-            except KeyError:
-                continue
-            table_name = stored.table_name
-            if table_name and table_name in self._session.tables:
-                self._stamp_cache_token(name, stored)
-                window = getattr(stored, "window", None)
-                self._session.register_sample(
-                    name, stored.sample, table_name, replace=True,
-                    window=window,
-                )
-                self._versions[name] = stored.version
-                self._lineages[name] = dict(stored.lineage)
-                if window is not None:
-                    self._adopt_window_member(name, stored, window)
-            else:
-                self._orphans[name] = table_name or ""
-                # Family bookkeeping must survive orphaning: refresh
-                # rolls windows forward purely against the store, so a
-                # maintenance-only process (no base table registered —
-                # e.g. ``warehouse refresh`` from the CLI) still needs
-                # the family registry to route the batch by window.
-                window = getattr(stored, "window", None)
-                if window is not None:
-                    self._adopt_window_member(name, stored, window)
-
-    def _adopt_window_member(
-        self, name: str, stored, window: Dict
-    ) -> None:
-        """Fold one stored window member into its family registry.
-
-        Family-level build parameters (group-by, tracked columns,
-        per-window budget) are recovered from the member itself so a
-        restarted service can keep opening new windows on refresh.
-        """
-        parsed = parse_window_sample_name(name)
-        base = parsed[0] if parsed else name
-        family = self._families.setdefault(
-            base,
-            {
-                "column": str(window["column"]),
-                "width": int(window["width"]),
-                "decay": None,
-                "retention": None,
-                "table_name": stored.table_name,
-                "group_by": list(stored.sample.allocation.by),
-                "value_columns": tracked_columns_from_lineage(
-                    stored.lineage, stored.sample.allocation.stats
-                ),
-                "budget": int(stored.sample.budget),
-                "windows": {},
-            },
-        )
-        family["windows"][int(window["start"])] = stored.version
-
-    def _stamp_cache_token(self, name: str, stored) -> None:
-        """Mark one published sample version's table as immutable for
-        the per-version group-code cache (:mod:`repro.engine.groupcache`).
-
-        Each ``store.get`` loads a fresh :class:`Table`, so the stamp
-        covers exactly one immutable incarnation; the version in the
-        token keeps hot-swapped versions apart, and the scope keeps
-        in-process shard workers (same name+version, different rows)
-        apart.
-        """
-        stored.sample.table.cache_token = (
-            self._cache_scope,
-            name,
-            stored.version,
-        )
+        if self._slides.pop(base + SLIDE_SUFFIX, None) is not None:
+            self._drop_locked(base + SLIDE_SUFFIX)
 
     def _bump(self) -> None:
         """Invalidate answers; caller must hold the write lock."""

@@ -1,136 +1,29 @@
-"""Scatter-gather front over a sharded sample warehouse.
+"""Constructor shim for the sharded topology.
 
-:class:`ShardedWarehouseService` presents the same surface as
-:class:`~repro.warehouse.service.WarehouseService` — ``query``,
-``query_with_contract``, ``build``, ``refresh``, ``register_table``,
-``stats``, ``health`` — but its samples live in N ``shard-NN/``
-sub-stores, each owned by a shard worker
-(:mod:`repro.serve.worker`). The division of labor:
-
-* **Routing, contracts, exact execution stay central.** The front
-  keeps the real base tables and an :class:`~repro.aqp.session.AQPSession`
-  whose "samples" are metadata stand-ins: the *merged* shard
-  allocations (exact — strata are never split across shards, so keys,
-  populations, sizes and per-column moments concatenate verbatim)
-  under an empty row table. Sample selection, CV prediction and
-  contract math therefore run the session's own code on the same
-  numbers the unsharded service would see.
-* **Row work scatters.** A decomposable aggregate query fans out to
-  every shard worker concurrently; each returns per-group
-  ``(count, total, total_sq)`` moment blocks over its slice, the front
-  adds them (:func:`~repro.warehouse.partials.merge_partials`) and
-  finalizes one answer table — numerically the unsharded answer up to
-  float summation order. Non-decomposable queries (MEDIAN, HAVING,
-  joins, ...) execute exactly at the front.
-* **Maintenance parallelizes per shard.** A refresh batch is
-  partitioned by stratum hash and folded into every shard at once,
-  each worker hot-swapping its own new version; rebuild escalation is
-  decided centrally (a shard only sees its strata) and pushed back
-  down as freshly split pieces.
-
-* **Column projection rides the scatter.** Workers adopt their
-  sub-store samples lazily under the ``mmap`` backend (tables hold
-  memory-mapped columns that load on first touch), and
-  :func:`~repro.warehouse.partials.compute_partials` narrows each
-  sample to the columns the decomposed query references before
-  filtering — so a worker's resident set is the hot columns of its
-  traffic, those pages live in the OS page cache, and N workers on
-  one host share one physical copy rather than N deserialized ones.
-
-``--shards 1`` deployments should not construct this class at all —
-the CLI routes them to the plain ``WarehouseService`` so the
-single-store layout stays byte-identical to previous releases.
+There is one warehouse front,
+:class:`~repro.warehouse.service.WarehouseService`; this class only
+starts it over a
+:class:`~repro.warehouse.scatter.ScatterGatherTopology`. Deployments
+with ``--shards 1`` should not construct it at all — the CLI routes
+them to the plain ``WarehouseService`` so the single-store layout stays
+byte-identical to previous releases.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from ..aqp.session import AQPResult, AQPSession, RouteDecision
-from ..core.cvopt import CVOptSampler
-from ..core.sample import StratifiedSample
-from ..core.spec import GroupByQuerySpec
-from ..engine.groupcache import default_group_code_cache
-from ..engine.sql.errors import QueryExecutionError
-from ..engine.sql.parser import parse_query
 from ..engine.table import Table
-from ..serve.worker import (
-    InProcessShardClient,
-    ProcessShardClient,
-    ShardWorkerError,
-)
-from .contracts import (
-    AccuracyContract,
-    AccuracyContractViolation,
-    ContractedResult,
-    build_contract,
-)
-from .maintenance import (
-    BuildReport,
-    RefreshReport,
-    WindowedBuildReport,
-    _fresh_lineage,
-    staleness_from_lineage,
-)
-from ..engine.sql.planner import extract_time_bounds
-from ..obs import current_trace_id, default_registry, default_tracer
-from .partials import decompose, finalize_partials, merge_partials
-from .service import (
-    LRUCache,
-    RWLock,
-    WindowedRefreshReport,
-    _ANSWER_CACHE,
-    _QUERIES,
-    _QUERY_SECONDS,
-    _route_label,
-)
-from .sharding import (
-    SHARD_SCHEME,
-    ShardedSampleStore,
-    merge_shard_allocations,
-    partition_table,
-)
-from .windows import (
-    SLIDE_SUFFIX,
-    covering_window_starts,
-    merge_window_allocations,
-    parse_window,
-    parse_window_sample_name,
-    partition_by_window,
-    window_sample_name,
-)
+from .scatter import ScatterGatherTopology
+from .service import WarehouseService
 
 __all__ = ["ShardedWarehouseService"]
 
-_TRACER = default_tracer()
-_SHARD_RPC = default_registry().histogram(
-    "repro_shard_rpc_seconds",
-    "Per-shard worker RPC latency in seconds",
-    ["op", "shard"],
-)
-_SHARD_FALLBACK = default_registry().counter(
-    "repro_shard_fallback_total",
-    "Sharded queries that fell back to exact execution, by reason",
-    ["reason"],
-)
 
-
-class ShardedWarehouseService:
-    """Thread-safe scatter-gather endpoint over N shard workers.
-
-    ``store`` is a :class:`~repro.warehouse.sharding.ShardedSampleStore`
-    or its root path (``shards`` is required when creating a new one).
-    ``workers="process"`` spawns one OS process per shard (the
-    deployment topology); ``"inprocess"`` runs the same protocol
-    without process boundaries (tests, single-process setups, and any
-    backend — like the memory backend — whose blobs other processes
-    cannot read).
-    """
+class ShardedWarehouseService(WarehouseService):
+    """A :class:`WarehouseService` whose samples live on N shard
+    workers; see :class:`ScatterGatherTopology` for the arguments.
+    Close it (or use it as a context manager) to stop the workers."""
 
     def __init__(
         self,
@@ -143,1222 +36,14 @@ class ShardedWarehouseService:
         keep_versions: int = 4,
         workers: str = "process",
     ) -> None:
-        if workers not in ("process", "inprocess"):
-            raise ValueError("workers must be 'process' or 'inprocess'")
-        self.store = (
-            store
-            if isinstance(store, ShardedSampleStore)
-            else ShardedSampleStore(store, shards=shards, backend=backend)
+        topology = ScatterGatherTopology(
+            store,
+            shards=shards,
+            backend=backend,
+            cv_degradation_threshold=cv_degradation_threshold,
+            keep_versions=keep_versions,
+            workers=workers,
         )
-        self.num_shards = self.store.num_shards
-        self.cv_degradation_threshold = float(cv_degradation_threshold)
-        self.keep_versions = int(keep_versions)
-        self._session = AQPSession(tables)
-        self._lock = RWLock()
-        self._maintenance = threading.Lock()
-        self._cache = LRUCache(cache_size)
-        self._epoch = 0
-        self._meta: Dict[str, Dict] = {}  # live merged per-sample view
-        self._orphans: Dict[str, Dict] = {}  # base table not registered
-        #: Windowed families rebuilt from the shards' window-tagged
-        #: metas: ``base -> {"column", "width", "table_name",
-        #: "group_by", "value_columns", "budget",
-        #: "windows": {start: member name}}``. Decay and retention are
-        #: unsupported on the sharded path (partials recompute from raw
-        #: sample rows, so per-window weight scaling cannot apply).
-        self._window_families: Dict[str, Dict] = {}
-        #: Members behind each registered slide stand-in, for fan-out.
-        self._slide_members: Dict[str, List[str]] = {}
-        self.queries_served = 0
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(self.num_shards, 1),
-            thread_name_prefix="shard-fanout",
-        )
-        worker_opts = {
-            "cv_degradation_threshold": self.cv_degradation_threshold,
-            "keep_versions": self.keep_versions,
-        }
-        if workers == "process":
-            backend_name = (
-                backend
-                if isinstance(backend, str) or backend is None
-                else getattr(backend, "name", None)
-            )
-            self.clients = [
-                ProcessShardClient(
-                    self.store.root, i, backend=backend_name, **worker_opts
-                )
-                for i in range(self.num_shards)
-            ]
-        else:
-            self.clients = [
-                InProcessShardClient(
-                    self.store.root, i, backend=backend, **worker_opts
-                )
-                for i in range(self.num_shards)
-            ]
-        self.refresh_metadata()
-
-    # ------------------------------------------------------------------
-    # scatter plumbing
-    # ------------------------------------------------------------------
-    def _scatter(self, op: str, payloads=None) -> List[Dict]:
-        """Send ``op`` to every shard concurrently; raises the first
-        shard failure. ``payloads`` is one kwargs dict per shard (or
-        None for an empty payload everywhere).
-
-        Each request is submitted through a fresh
-        ``contextvars.copy_context()`` because ``ThreadPoolExecutor``
-        does not propagate context — without the copy, per-shard RPC
-        spans opened in pool threads would detach from the request's
-        trace.
-        """
-        payloads = payloads or [{} for _ in self.clients]
-        futures = [
-            self._pool.submit(
-                contextvars.copy_context().run,
-                self._timed_request,
-                client,
-                op,
-                payload,
-            )
-            for client, payload in zip(self.clients, payloads)
-        ]
-        return [f.result() for f in futures]
-
-    def _timed_request(
-        self, client, op: str, payload: Dict
-    ) -> Dict:
-        """One shard RPC with a latency histogram sample and (when a
-        trace is active in this context) a ``shard.rpc`` span."""
-        shard = str(client.shard_index)
-        t0 = time.perf_counter()
-        try:
-            with _TRACER.span("shard.rpc", op=op, shard=client.shard_index):
-                return client.request(op, **payload)
-        finally:
-            _SHARD_RPC.observe(
-                time.perf_counter() - t0, op=op, shard=shard
-            )
-
-    # ------------------------------------------------------------------
-    # merged metadata
-    # ------------------------------------------------------------------
-    def refresh_metadata(self) -> None:
-        """Rebuild the front's merged per-sample view from the shards.
-
-        Pulls every shard's ``sample_meta``, merges the disjoint
-        allocations and lineages, and swaps metadata stand-ins into the
-        routing session (samples whose base table is not registered
-        wait as orphans). Called after every structural change; cheap —
-        metadata only, no sample rows cross the wire.
-        """
-        metas = self._scatter("sample_meta")
-        names: Dict[str, None] = {}
-        for meta in metas:
-            for name in meta["samples"]:
-                names.setdefault(name, None)
-        merged: Dict[str, Dict] = {}
-        for name in names:
-            shard_metas = [meta["samples"].get(name) for meta in metas]
-            if any(m is None for m in shard_metas):
-                # A sample not yet live on every shard (mid-publish) is
-                # not routable: merging a subset would under-count.
-                continue
-            allocation = merge_shard_allocations(
-                [m["allocation"] for m in shard_metas]
-            )
-            table_name = next(
-                (
-                    meta["tables"].get(name)
-                    for meta in metas
-                    if meta["tables"].get(name)
-                ),
-                None,
-            )
-            versions = [m["version"] for m in shard_metas]
-            merged[name] = {
-                "table_name": table_name,
-                "allocation": allocation,
-                "versions": versions,
-                "version": _join_versions(versions),
-                "lineage": _merge_lineages(
-                    [m["lineage"] for m in shard_metas]
-                ),
-                "window": shard_metas[0].get("window")
-                or shard_metas[0]["lineage"].get("window"),
-                "method": shard_metas[0]["method"],
-                "rows": sum(m["rows"] for m in shard_metas),
-                "source_rows": sum(m["source_rows"] for m in shard_metas),
-                "budget": sum(m["budget"] for m in shard_metas),
-            }
-        with self._lock.write():
-            for name in list(self._meta):
-                if name not in merged:
-                    self._session.drop_sample(name)
-            self._meta = {}
-            self._orphans = {}
-            # Slides are merged views over members; any structural
-            # change invalidates them, and the next query re-merges.
-            self._window_families = {}
-            self._slide_members = {}
-            for name, info in merged.items():
-                table_name = info["table_name"]
-                if table_name and table_name in self._session.tables:
-                    stand_in = StratifiedSample(
-                        table=Table({}),
-                        allocation=info["allocation"],
-                        method=info["method"],
-                        source_rows=info["source_rows"],
-                        budget=info["budget"],
-                    )
-                    self._session.register_sample(
-                        name, stand_in, table_name, replace=True,
-                        window=info["window"],
-                    )
-                    self._meta[name] = info
-                    if info["window"] is not None:
-                        self._adopt_window_meta(name, info)
-                else:
-                    self._orphans[name] = info
-                    # Refresh rolls windows forward against the shard
-                    # stores alone, so the family registry must exist
-                    # even while its members are orphaned (no base
-                    # table registered — maintenance-only processes).
-                    if info["window"] is not None:
-                        self._adopt_window_meta(name, info)
-            self._bump()
-
-    def _adopt_window_meta(self, name: str, info: Dict) -> None:
-        """Fold one merged window-member view into the family registry
-        (caller holds the write lock)."""
-        window = info["window"]
-        parsed = parse_window_sample_name(name)
-        base = parsed[0] if parsed else name
-        lineage = info["lineage"]
-        family = self._window_families.setdefault(
-            base,
-            {
-                "column": str(window["column"]),
-                "width": int(window["width"]),
-                "table_name": info["table_name"],
-                "group_by": list(info["allocation"].by),
-                "value_columns": list(
-                    lineage.get("value_columns") or []
-                ),
-                "budget": int(info["budget"]),
-                "windows": {},
-            },
-        )
-        family["windows"][int(window["start"])] = name
-
-    # ------------------------------------------------------------------
-    # registration / building
-    # ------------------------------------------------------------------
-    def register_table(self, name: str, table: Table) -> None:
-        """Register (or replace) a base table at the front; orphaned
-        shard samples waiting for it become routable."""
-        with self._maintenance:
-            with self._lock.write():
-                self._session.register_table(name, table)
-                self._bump()
-        if any(
-            info["table_name"] == name for info in self._orphans.values()
-        ):
-            self.refresh_metadata()
-
-    def build(
-        self,
-        name: str,
-        table_name: str,
-        group_by: Sequence[str],
-        value_columns: Sequence[str],
-        budget: int,
-        seed: int = 0,
-    ) -> BuildReport:
-        """Two-pass CVOPT build at the front, split by stratum hash,
-        committed to every shard sub-store, then hot-swapped live on
-        every worker."""
-        value_columns = list(dict.fromkeys(value_columns))
-        if not value_columns:
-            raise ValueError("need at least one value column")
-        with self._maintenance:
-            with self._lock.read():
-                table = self._session.tables.get(table_name)
-            if table is None:
-                raise KeyError(f"unknown base table {table_name!r}")
-            spec = GroupByQuerySpec(
-                group_by=tuple(group_by), aggregates=tuple(value_columns)
-            )
-            sample = CVOptSampler([spec]).sample(table, budget, seed=seed)
-            lineage = _fresh_lineage(value_columns, sample.source_rows)
-            versions = self.store.put(
-                name, sample, table_name=table_name, lineage=lineage
-            )
-            self.store.prune(name, keep=self.keep_versions)
-            self._scatter("reload", [{"name": name}] * self.num_shards)
-        self.refresh_metadata()
-        return BuildReport(
-            name=name,
-            version=_join_versions(versions),
-            rows=sample.num_rows,
-            strata=sample.allocation.num_strata,
-            budget=sample.budget,
-            source_rows=sample.source_rows,
-            columns=list(value_columns),
-        )
-
-    def build_windowed(
-        self,
-        name: str,
-        table_name: str,
-        group_by: Sequence[str],
-        value_columns: Sequence[str],
-        budget: int,
-        ts_column: str,
-        window: str,
-        decay: Optional[float] = None,
-        retention: Optional[int] = None,
-        seed: int = 0,
-    ) -> WindowedBuildReport:
-        """Windowed family on a sharded warehouse: one central CVOPT
-        build per tumbling window, each member split by stratum hash
-        across the shard sub-stores and hot-swapped everywhere.
-
-        Windows and shards partition rows along orthogonal axes (time
-        vs. stratum hash), so a sliding-window answer merges partials
-        across both — each sum is exact. ``decay`` and ``retention``
-        are rejected here: shard partials recompute from raw sample
-        rows, so per-window weight scaling and horizon pruning live
-        only on the unsharded path.
-        """
-        if decay is not None:
-            raise ValueError(
-                "decay is unsupported on a sharded warehouse"
-            )
-        if retention is not None:
-            raise ValueError(
-                "retention is unsupported on a sharded warehouse"
-            )
-        value_columns = list(dict.fromkeys(value_columns))
-        if not value_columns:
-            raise ValueError("need at least one value column")
-        width = parse_window(window)
-        report = WindowedBuildReport(
-            name=name, column=ts_column, width=width
-        )
-        with self._maintenance:
-            with self._lock.read():
-                table = self._session.tables.get(table_name)
-            if table is None:
-                raise KeyError(f"unknown base table {table_name!r}")
-            if ts_column not in table:
-                raise KeyError(
-                    f"timestamp column {ts_column!r} not in table"
-                )
-            spec = GroupByQuerySpec(
-                group_by=tuple(group_by), aggregates=tuple(value_columns)
-            )
-            for start, part in partition_by_window(
-                table, ts_column, width
-            ).items():
-                member = window_sample_name(name, start)
-                sample = CVOptSampler([spec]).sample(
-                    part, budget, seed=seed
-                )
-                window_block = {
-                    "column": ts_column,
-                    "width": width,
-                    "start": int(start),
-                    "end": int(start) + width,
-                }
-                lineage = _fresh_lineage(
-                    value_columns, sample.source_rows
-                )
-                lineage["window"] = dict(window_block)
-                lineage["max_event_ts"] = int(
-                    part.column(ts_column).values_numeric().max()
-                )
-                versions = self.store.put(
-                    member,
-                    sample,
-                    table_name=table_name,
-                    lineage=lineage,
-                    window=window_block,
-                )
-                self.store.prune(member, keep=self.keep_versions)
-                self._scatter(
-                    "reload", [{"name": member}] * self.num_shards
-                )
-                report.starts.append(int(start))
-                report.windows.append(
-                    BuildReport(
-                        name=member,
-                        version=_join_versions(versions),
-                        rows=sample.num_rows,
-                        strata=sample.allocation.num_strata,
-                        budget=sample.budget,
-                        source_rows=sample.source_rows,
-                        columns=list(value_columns),
-                    )
-                )
-        self.refresh_metadata()
-        return report
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def refresh(
-        self,
-        name: str,
-        batch: Table,
-        seed: int = 0,
-        columns: Optional[Sequence[str]] = None,
-    ) -> RefreshReport:
-        """Fold a batch into every shard in parallel.
-
-        The batch is partitioned by the stratum hash of each row's
-        group key, so every worker's streaming maintainer sees exactly
-        the rows the unsharded maintainer would have folded into its
-        strata; each shard hot-swaps its new version independently.
-        When the merged drift crosses the escalation threshold, the
-        front — which holds the full base table no single shard has —
-        runs the two-pass rebuild centrally and pushes freshly split
-        pieces back down.
-
-        When ``name`` is a windowed family base, the batch is first
-        partitioned by the family's timestamp column and each window
-        rolled forward (see :meth:`_refresh_windowed`); the return
-        value is then a :class:`WindowedRefreshReport`.
-        """
-        if name in self._window_families:
-            return self._refresh_windowed(name, batch, seed=seed)
-        with self._maintenance:
-            info = self._meta.get(name) or self._orphans.get(name)
-            if info is None:
-                raise KeyError(f"unknown sample {name!r}")
-            by = info["allocation"].by
-            table_name = info["table_name"]
-            with self._lock.read():
-                base = (
-                    self._session.tables.get(table_name)
-                    if table_name
-                    else None
-                )
-            pieces = partition_table(batch, by, self.num_shards)
-            payloads = [
-                {
-                    "name": name,
-                    "batch": piece,
-                    "seed": seed,
-                    "columns": list(columns) if columns else None,
-                }
-                for piece in pieces
-            ]
-            live = [i for i, p in enumerate(pieces) if p.num_rows]
-            reports = [None] * self.num_shards
-            futures = {
-                i: self._pool.submit(
-                    contextvars.copy_context().run,
-                    self._timed_request,
-                    self.clients[i],
-                    "refresh",
-                    payloads[i],
-                )
-                for i in live
-            }
-            for i, future in futures.items():
-                reports[i] = future.result()["report"]
-            grown = base.concat(batch) if base is not None else None
-            if grown is not None:
-                with self._lock.write():
-                    self._session.register_table(table_name, grown)
-                    self._bump()
-            report = _merge_reports(name, reports, info)
-            if report.needs_rebuild and grown is not None:
-                report = self._rebuild(name, info, grown, table_name, seed)
-        self.refresh_metadata()
-        return report
-
-    def _refresh_windowed(
-        self, name: str, batch: Table, seed: int = 0
-    ) -> WindowedRefreshReport:
-        """Roll a sharded windowed family forward by one batch.
-
-        Rows for the newest retained window refresh that member through
-        the ordinary sharded refresh (stratum-hash fan-out); rows past
-        it open fresh windows via central per-window builds; rows
-        addressed to closed windows are frozen out of the samples but
-        still grow the front's base table so exact answers see them.
-        """
-        family = self._window_families[name]
-        column = family["column"]
-        width = family["width"]
-        table_name = family["table_name"]
-        if column not in batch:
-            raise ValueError(
-                f"windowed family {name!r} partitions on column "
-                f"{column!r}, which the batch does not carry"
-            )
-        report = WindowedRefreshReport(
-            name=name, rows_ingested=batch.num_rows
-        )
-        newest = max(family["windows"], default=None)
-        unsampled_rows: List[Table] = []  # frozen + fresh-window rows
-        fresh_parts: List[Table] = []
-        for start, part in partition_by_window(
-            batch, column, width
-        ).items():
-            if newest is not None and start < newest:
-                report.frozen_rows += part.num_rows
-                unsampled_rows.append(part)
-            elif start in family["windows"]:
-                member = family["windows"][start]
-                # The ordinary sharded member refresh also grows the
-                # base table by this slice.
-                sub = self.refresh(member, part, seed=seed)
-                report.refreshed.append(start)
-                report.reports.append(sub)
-                report.version = sub.version
-            else:
-                fresh_parts.append(part)
-                unsampled_rows.append(part)
-        if fresh_parts:
-            fresh = fresh_parts[0]
-            for part in fresh_parts[1:]:
-                fresh = fresh.concat(part)
-            built = self._build_fresh_windows(
-                name, family, fresh, seed=seed
-            )
-            report.opened.extend(built.starts)
-            report.reports.extend(built.windows)
-            if built.windows:
-                report.version = built.windows[-1].version
-        if unsampled_rows:
-            # Rows no member refresh carried into the base table yet.
-            extra = unsampled_rows[0]
-            for part in unsampled_rows[1:]:
-                extra = extra.concat(part)
-            with self._maintenance:
-                with self._lock.read():
-                    base = self._session.tables.get(table_name)
-                if base is not None:
-                    with self._lock.write():
-                        self._session.register_table(
-                            table_name, base.concat(extra)
-                        )
-                        self._bump()
-        self.refresh_metadata()
-        return report
-
-    def _build_fresh_windows(
-        self, name: str, family: Dict, table: Table, seed: int = 0
-    ) -> WindowedBuildReport:
-        """Central per-window builds for windows a batch opened, split
-        to the shard sub-stores and reloaded everywhere."""
-        column = family["column"]
-        width = family["width"]
-        value_columns = list(family["value_columns"])
-        report = WindowedBuildReport(
-            name=name, column=column, width=width
-        )
-        spec = GroupByQuerySpec(
-            group_by=tuple(family["group_by"]),
-            aggregates=tuple(value_columns),
-        )
-        with self._maintenance:
-            for start, part in partition_by_window(
-                table, column, width
-            ).items():
-                member = window_sample_name(name, start)
-                sample = CVOptSampler([spec]).sample(
-                    part, family["budget"], seed=seed
-                )
-                window_block = {
-                    "column": column,
-                    "width": width,
-                    "start": int(start),
-                    "end": int(start) + width,
-                }
-                lineage = _fresh_lineage(
-                    value_columns, sample.source_rows
-                )
-                lineage["window"] = dict(window_block)
-                lineage["max_event_ts"] = int(
-                    part.column(column).values_numeric().max()
-                )
-                versions = self.store.put(
-                    member,
-                    sample,
-                    table_name=family["table_name"],
-                    lineage=lineage,
-                    window=window_block,
-                )
-                self.store.prune(member, keep=self.keep_versions)
-                self._scatter(
-                    "reload", [{"name": member}] * self.num_shards
-                )
-                report.starts.append(int(start))
-                report.windows.append(
-                    BuildReport(
-                        name=member,
-                        version=_join_versions(versions),
-                        rows=sample.num_rows,
-                        strata=sample.allocation.num_strata,
-                        budget=sample.budget,
-                        source_rows=sample.source_rows,
-                        columns=list(value_columns),
-                    )
-                )
-        return report
-
-    def _rebuild(
-        self, name: str, info: Dict, full_table: Table,
-        table_name: Optional[str], seed: int,
-    ) -> RefreshReport:
-        """Central escalation: rebuild from the full base table at the
-        shards' combined budget, split, commit, swap everywhere."""
-        lineage = info["lineage"]
-        value_columns = list(
-            lineage.get("value_columns")
-            or ([lineage["value_column"]] if "value_column" in lineage else [])
-        ) or list(info["allocation"].stats.columns if info["allocation"].stats else [])
-        spec = GroupByQuerySpec(
-            group_by=tuple(info["allocation"].by),
-            aggregates=tuple(value_columns),
-        )
-        sample = CVOptSampler([spec]).sample(
-            full_table, info["budget"], seed=seed
-        )
-        fresh = _fresh_lineage(value_columns, sample.source_rows)
-        fresh["action"] = "rebuild"
-        fresh["refresh_count"] = int(lineage.get("refresh_count", 0)) + 1
-        versions = self.store.put(
-            name, sample, table_name=table_name, lineage=fresh
-        )
-        self.store.prune(name, keep=self.keep_versions)
-        self._scatter("reload", [{"name": name}] * self.num_shards)
-        return RefreshReport(
-            name=name,
-            version=_join_versions(versions),
-            action="rebuild",
-            rows_ingested=0,
-            source_rows=sample.source_rows,
-            sample_rows=sample.num_rows,
-            new_strata=0,
-            staleness=0.0,
-            drift=1.0,
-            needs_rebuild=False,
-            columns=value_columns,
-        )
-
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
-    def _ensure_slide(self, sql: str) -> Optional[str]:
-        """Register the metadata stand-in for the sliding-window set
-        ``sql`` needs (mirror of the unsharded service's slide
-        materialization, without rows: the merged-across-shards member
-        allocations are merged again across windows, and query fan-out
-        later scatters partials once per covered member).
-
-        Returns a violation message when the range reaches below the
-        oldest retained window, else ``None``.
-        """
-        if not self._window_families:
-            return None
-        try:
-            parsed = parse_query(sql)
-        except Exception:
-            return None  # let the session raise the real error
-        table_ref = getattr(parsed.from_clause, "name", None)
-        for base, family in list(self._window_families.items()):
-            if table_ref != family["table_name"]:
-                continue
-            bounds = extract_time_bounds(parsed, family["column"])
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            if lo is None:
-                continue
-            with self._lock.read():
-                retained = sorted(family["windows"])
-            if not retained:
-                continue
-            width = family["width"]
-            horizon = retained[-1] + width
-            if lo < retained[0]:
-                hi_text = hi if hi is not None else "now"
-                return (
-                    f"time range [{lo}, {hi_text}) on "
-                    f"{family['column']!r} reaches below the retention "
-                    f"horizon of windowed sample {base!r} (oldest "
-                    f"retained window starts at {retained[0]})"
-                )
-            hi_eff = hi if hi is not None else horizon
-            if hi_eff <= lo or hi_eff > horizon:
-                continue
-            starts = covering_window_starts(lo, hi_eff, width)
-            if any(s not in family["windows"] for s in starts):
-                continue
-            if len(starts) > 1:
-                self._register_slide(base, family, starts)
-        return None
-
-    def _register_slide(
-        self, base: str, family: Dict, starts: Sequence[int]
-    ) -> None:
-        """Merge member metadata into a routable slide stand-in."""
-        slide = base + SLIDE_SUFFIX
-        members = [family["windows"][s] for s in starts]
-        with self._lock.read():
-            if self._slide_members.get(slide) == members:
-                return
-            infos = [self._meta.get(m) for m in members]
-        if any(info is None for info in infos):
-            return  # member mid-publish; next query retries
-        allocation = merge_window_allocations(
-            [info["allocation"] for info in infos]
-        )
-        width = family["width"]
-        window_block = {
-            "column": family["column"],
-            "start": int(starts[0]),
-            "end": int(starts[-1]) + width,
-        }
-        lineage = _merge_lineages([info["lineage"] for info in infos])
-        lineage["action"] = "window-merge"
-        lineage["window"] = dict(window_block)
-        lineage["windows"] = [int(s) for s in starts]
-        stand_in = StratifiedSample(
-            table=Table({}),
-            allocation=allocation,
-            method=infos[0]["method"],
-            source_rows=sum(info["source_rows"] for info in infos),
-            budget=sum(info["budget"] for info in infos),
-        )
-        info = {
-            "table_name": family["table_name"],
-            "allocation": allocation,
-            "versions": [info["version"] for info in infos],
-            "version": "+".join(info["version"] for info in infos),
-            "lineage": lineage,
-            "window": window_block,
-            "method": stand_in.method,
-            "rows": sum(i["rows"] for i in infos),
-            "source_rows": stand_in.source_rows,
-            "budget": stand_in.budget,
-        }
-        with self._lock.write():
-            self._session.register_sample(
-                slide,
-                stand_in,
-                family["table_name"],
-                replace=True,
-                window=window_block,
-            )
-            self._meta[slide] = info
-            self._slide_members[slide] = members
-            self._bump()
-
-    def query(self, sql: str, mode: str = "auto") -> AQPResult:
-        """Answer ``sql`` by scatter-gather when the router picks a
-        sample and the query decomposes; exactly at the front
-        otherwise. Memoized per store epoch."""
-        if mode not in ("auto", "approx", "exact"):
-            raise ValueError("mode must be 'auto', 'approx' or 'exact'")
-        t0 = time.perf_counter()
-        self._ensure_slide(sql)
-        key = (self._epoch, mode, sql)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
-            return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
-        result = self._answer(sql, mode)
-        self.queries_served += 1
-        if key[0] == self._epoch:
-            self._cache.put(key, result)
-        _QUERIES.inc(route=_route_label(result.route))
-        _QUERY_SECONDS.observe(time.perf_counter() - t0)
-        return result
-
-    def query_with_contract(
-        self,
-        sql: str,
-        mode: str = "auto",
-        max_cv: Optional[float] = None,
-        max_staleness: Optional[float] = None,
-        on_violation: str = "fallback",
-    ) -> ContractedResult:
-        """Answer with an accuracy contract — same shape, semantics and
-        violation handling as the unsharded service's method; the
-        contract's ``sample_version`` names every shard's served
-        version and its CV figures come from the merged allocation."""
-        if on_violation not in ("fallback", "reject"):
-            raise ValueError("on_violation must be 'fallback' or 'reject'")
-        if mode not in ("auto", "approx", "exact"):
-            raise ValueError("mode must be 'auto', 'approx' or 'exact'")
-        t0 = time.perf_counter()
-        below_retention = self._ensure_slide(sql)
-        if below_retention is not None and (
-            on_violation == "reject" or mode == "approx"
-        ):
-            constraints: Dict[str, float] = {}
-            if max_cv is not None:
-                constraints["max_cv"] = float(max_cv)
-            if max_staleness is not None:
-                constraints["max_staleness"] = float(max_staleness)
-            _QUERIES.inc(route="rejected")
-            raise AccuracyContractViolation(
-                [below_retention],
-                AccuracyContract(
-                    executed="exact",
-                    fallback_exact=False,
-                    reason=below_retention,
-                    constraints=constraints,
-                    satisfied=False,
-                ),
-            )
-        key = ("contract", self._epoch, mode, sql, max_cv, max_staleness,
-               on_violation)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
-            return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
-        result = self._answer(sql, mode, max_cv=max_cv)
-        route_label = _route_label(result.route)
-        with _TRACER.span("warehouse.contract"):
-            contract, violations = self._contract_for(
-                result.route, mode, max_cv, max_staleness
-            )
-        if violations:
-            if on_violation == "reject" or mode == "approx":
-                _QUERIES.inc(route="rejected")
-                raise AccuracyContractViolation(violations, contract)
-            with _TRACER.span("warehouse.fallback_exact"):
-                result = self._exact(sql)
-            route_label = "fallback"
-            contract = AccuracyContract(
-                executed="exact",
-                fallback_exact=True,
-                reason="accuracy constraints unsatisfied by stored "
-                "samples (" + "; ".join(violations) + "); executed "
-                "exactly",
-                constraints=contract.constraints,
-                satisfied=True,
-            )
-        self.queries_served += 1
-        answer = ContractedResult(result=result, contract=contract)
-        if key[1] == self._epoch:
-            self._cache.put(key, answer)
-        _QUERIES.inc(route=route_label)
-        _QUERY_SECONDS.observe(time.perf_counter() - t0)
-        return answer
-
-    def execute(self, sql: str) -> Table:
-        """Exact execution over the front's base tables."""
-        return self.query(sql, mode="exact").table
-
-    def _exact(self, sql: str) -> AQPResult:
-        with self._lock.read():
-            return self._session.query(sql, mode="exact")
-
-    def _answer(
-        self, sql: str, mode: str, max_cv: Optional[float] = None
-    ) -> AQPResult:
-        start = time.perf_counter()
-        if mode == "exact":
-            return self._exact(sql)
-        with _TRACER.span("aqp.parse"):
-            parsed = parse_query(sql)
-            dq = decompose(parsed)
-        if dq is None:
-            # MEDIAN / HAVING / joins / subqueries: no per-shard
-            # partials exist. The front has no sample rows either, so
-            # approximation is off the table — unlike the unsharded
-            # service, which could still run such a query over its
-            # local sample.
-            if mode == "approx":
-                raise QueryExecutionError(
-                    "cannot answer approximately on a sharded warehouse: "
-                    "query does not decompose into per-shard partials"
-                )
-            _SHARD_FALLBACK.inc(reason="non_decomposable")
-            result = self._exact(sql)
-            route = RouteDecision(
-                None, None, None,
-                "query does not decompose into per-shard partials; "
-                "executing exactly",
-            )
-            return AQPResult(
-                table=result.table,
-                route=route,
-                plan_cached=result.plan_cached,
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        with self._lock.read():
-            with _TRACER.span("aqp.route"):
-                route = self._session.route(parsed, mode, max_cv)
-            sample_name = route.sample_name
-        _TRACER.annotate(route=route.reason, sample=sample_name)
-        if not route.approximate:
-            result = self._exact(sql)
-            return AQPResult(
-                table=result.table,
-                route=route,
-                plan_cached=result.plan_cached,
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        trace_id = current_trace_id()
-        # A slide stand-in has no rows anywhere; fan out once per
-        # covered window member instead. Partials are additive across
-        # shards *and* windows (disjoint rows either way), so one merge
-        # over the whole response set is exact.
-        with self._lock.read():
-            fanout_names = self._slide_members.get(
-                sample_name, [sample_name]
-            )
-        _TRACER.annotate(
-            shard_fanout=self.num_shards * len(fanout_names)
-        )
-        try:
-            responses = []
-            for member in fanout_names:
-                responses.extend(
-                    self._scatter(
-                        "partials",
-                        [
-                            {
-                                "sql": sql,
-                                "name": member,
-                                "trace_id": trace_id,
-                            }
-                        ] * self.num_shards,
-                    )
-                )
-        except ShardWorkerError as exc:
-            if mode == "approx":
-                raise
-            _SHARD_FALLBACK.inc(reason="worker_error")
-            result = self._exact(sql)
-            route = RouteDecision(
-                None, None, None,
-                f"shard fan-out failed ({exc}); executing exactly",
-            )
-            return AQPResult(
-                table=result.table,
-                route=route,
-                plan_cached=result.plan_cached,
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        if trace_id is not None:
-            _TRACER.graft(
-                [s for r in responses for s in r.get("spans", [])]
-            )
-        with _TRACER.span("shard.merge", shards=self.num_shards):
-            merged = merge_partials(
-                [r["partials"] for r in responses], len(dq.agg_calls)
-            )
-            table = finalize_partials(dq, merged)
-        return AQPResult(
-            table=table,
-            route=route,
-            plan_cached=False,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
-    def _contract_for(
-        self,
-        route: RouteDecision,
-        mode: str,
-        max_cv: Optional[float],
-        max_staleness: Optional[float],
-    ):
-        if not route.approximate:
-            return build_contract(
-                route, mode, max_cv, max_staleness,
-                sample_version=None, lineage={}, staleness=0.0,
-                group_keys=None,
-            )
-        with self._lock.read():
-            info = self._meta.get(route.sample_name, {})
-            lineage = info.get("lineage", {})
-            allocation = info.get("allocation")
-        return build_contract(
-            route, mode, max_cv, max_staleness,
-            sample_version=info.get("version"),
-            lineage=lineage,
-            staleness=staleness_from_lineage(lineage),
-            group_keys=(
-                tuple(tuple(k) for k in allocation.keys)
-                if allocation is not None
-                else None
-            ),
-            window_bounds=route.window_bounds,
-        )
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def samples(self) -> List[str]:
-        with self._lock.read():
-            return list(self._meta)
-
-    def served_versions(self) -> Dict[str, str]:
-        with self._lock.read():
-            return {
-                name: info["version"] for name, info in self._meta.items()
-            }
-
-    def served_lineages(self) -> Dict[str, Dict]:
-        with self._lock.read():
-            return {
-                name: dict(info["lineage"])
-                for name, info in self._meta.items()
-            }
-
-    def sample_summaries(self) -> List[Dict]:
-        with self._lock.read():
-            out = []
-            for name, info in self._meta.items():
-                lineage = info["lineage"]
-                tracked = list(lineage.get("value_columns") or [])
-                out.append(
-                    {
-                        "name": name,
-                        "version": info["version"],
-                        "rows": info["rows"],
-                        "strata": info["allocation"].num_strata,
-                        "by": list(info["allocation"].by),
-                        "columns": tracked,
-                        "primary_column": tracked[0] if tracked else None,
-                        "staleness": staleness_from_lineage(lineage),
-                        "drift": float(lineage.get("drift", 1.0)),
-                        "drift_by_column": {
-                            c: float(d)
-                            for c, d in (
-                                lineage.get("drift_by_column") or {}
-                            ).items()
-                        },
-                        "needs_rebuild": bool(
-                            lineage.get("needs_rebuild", False)
-                        ),
-                        "window": info.get("window"),
-                        "shards": self.num_shards,
-                    }
-                )
-            return out
-
-    def health(self) -> Dict:
-        with self._lock.read():
-            return {
-                "status": "ok",
-                "epoch": self._epoch,
-                "tables": len(self._session.tables),
-                "samples": len(self._meta),
-                "queries_served": self.queries_served,
-                "shards": {
-                    "count": self.num_shards,
-                    "alive": sum(1 for c in self.clients if c.alive),
-                },
-            }
-
-    def stats(self) -> Dict:
-        """Front counters plus a per-shard block gathered from every
-        worker (each entry is that worker's full ``stats()`` snapshot —
-        store accounting, caches, served versions)."""
-        shard_stats = []
-        for client in self.clients:
-            try:
-                shard_stats.append(client.request("stats")["stats"])
-            except ShardWorkerError as exc:
-                shard_stats.append(
-                    {"shard": client.shard_index, "error": str(exc)}
-                )
-        with self._lock.read():
-            return {
-                "epoch": self._epoch,
-                "queries_served": self.queries_served,
-                "store": {
-                    "root": str(self.store.root),
-                    "shards": {
-                        "count": self.num_shards,
-                        "scheme": SHARD_SCHEME,
-                    },
-                },
-                "answer_cache": self._cache.counters(),
-                "groupcode_cache": default_group_code_cache().counters(),
-                "tables": {
-                    name: table.num_rows
-                    for name, table in self._session.tables.items()
-                },
-                "samples": {
-                    name: {
-                        "version": info["version"],
-                        "versions": list(info["versions"]),
-                        "rows": info["rows"],
-                        "strata": info["allocation"].num_strata,
-                        "by": list(info["allocation"].by),
-                        "staleness": staleness_from_lineage(
-                            info["lineage"]
-                        ),
-                        "needs_rebuild": bool(
-                            info["lineage"].get("needs_rebuild", False)
-                        ),
-                    }
-                    for name, info in self._meta.items()
-                },
-                "shards": shard_stats,
-            }
-
-    def close(self) -> None:
-        """Shut down every worker and the fan-out pool."""
-        for client in self.clients:
-            try:
-                client.close()
-            except Exception:
-                pass
-        self._pool.shutdown(wait=False)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _bump(self) -> None:
-        self._epoch += 1
-        self._cache.clear()
-
-
-# ----------------------------------------------------------------------
-# merge helpers
-# ----------------------------------------------------------------------
-def _join_versions(versions: Sequence[str]) -> str:
-    """One display string for N per-shard versions: the common version
-    when they agree (the usual case after a build/rebuild), else an
-    explicit per-shard list."""
-    unique = list(dict.fromkeys(versions))
-    if len(unique) == 1:
-        return unique[0]
-    return "|".join(
-        f"shard{i:02d}={v}" for i, v in enumerate(versions)
-    )
-
-
-def _merge_lineages(lineages: Sequence[Dict]) -> Dict:
-    """Whole-warehouse lineage from per-shard lineages.
-
-    Counters add (each shard ingested its disjoint rows of every
-    batch), drift takes the worst shard (the contract must not promise
-    better than the worst slice), and ``needs_rebuild`` is sticky if
-    any shard raised it."""
-    merged: Dict = dict(lineages[0]) if lineages else {}
-    rows_ingested = sum(
-        int(li.get("rows_ingested", 0)) for li in lineages
-    )
-    base_rows = sum(int(li.get("base_rows", 0)) for li in lineages)
-    merged["rows_ingested"] = rows_ingested
-    merged["base_rows"] = base_rows
-    merged["staleness"] = (
-        rows_ingested / base_rows if base_rows else 0.0
-    )
-    merged["drift"] = max(
-        (float(li.get("drift", 1.0)) for li in lineages), default=1.0
-    )
-    drift_by_column: Dict[str, float] = {}
-    for li in lineages:
-        for column, drift in (li.get("drift_by_column") or {}).items():
-            drift_by_column[column] = max(
-                drift_by_column.get(column, 1.0), float(drift)
-            )
-    merged["drift_by_column"] = drift_by_column
-    merged["needs_rebuild"] = any(
-        bool(li.get("needs_rebuild", False)) for li in lineages
-    )
-    merged["refresh_count"] = max(
-        (int(li.get("refresh_count", 0)) for li in lineages), default=0
-    )
-    # Windowed members: the newest covered event is the max over the
-    # merged parts (shards see disjoint slices of each batch).
-    event_ts = [
-        int(li["max_event_ts"])
-        for li in lineages
-        if li.get("max_event_ts") is not None
-    ]
-    if event_ts:
-        merged["max_event_ts"] = max(event_ts)
-    columns: Dict[str, None] = {}
-    for li in lineages:
-        for column in li.get("value_columns") or []:
-            columns.setdefault(column, None)
-    if columns:
-        merged["value_columns"] = list(columns)
-    return merged
-
-
-def _merge_reports(
-    name: str, reports: Sequence[Optional[RefreshReport]], info: Dict
-) -> RefreshReport:
-    """One warehouse-level report from the per-shard refresh reports
-    (``None`` for shards whose batch slice was empty)."""
-    done = [r for r in reports if r is not None]
-    versions = [
-        r.version if r is not None else v
-        for r, v in zip(reports, info["versions"])
-    ]
-    rows_ingested = sum(r.rows_ingested for r in done)
-    columns: Dict[str, None] = {}
-    for r in done:
-        for c in r.columns:
-            columns.setdefault(c, None)
-    drift = max((r.drift for r in done), default=1.0)
-    lineage = info["lineage"]
-    prior_ingested = int(lineage.get("rows_ingested", 0))
-    base_rows = int(lineage.get("base_rows", 0))
-    staleness = (
-        (prior_ingested + rows_ingested) / base_rows
-        if base_rows
-        else float("inf")
-    )
-    return RefreshReport(
-        name=name,
-        version=_join_versions(versions),
-        action="incremental",
-        rows_ingested=rows_ingested,
-        # Shards with an empty slice keep their prior population, so
-        # the covered total is simply prior + newly ingested rows.
-        source_rows=info["source_rows"] + rows_ingested,
-        sample_rows=sum(r.sample_rows for r in done),
-        new_strata=sum(r.new_strata for r in done),
-        staleness=staleness,
-        drift=drift,
-        needs_rebuild=any(r.needs_rebuild for r in done),
-        columns=list(columns),
-        drift_by_column={
-            c: max(
-                (r.drift_by_column.get(c, 1.0) for r in done),
-                default=1.0,
-            )
-            for c in columns
-        },
-    )
+        self.clients = topology.clients
+        self.num_shards = topology.num_shards
+        self._start(topology, tables, cache_size)

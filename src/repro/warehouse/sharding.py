@@ -55,6 +55,7 @@ __all__ = [
     "SHARD_META_FILE",
     "SHARD_SCHEME",
     "ShardedSampleStore",
+    "join_versions",
     "merge_shard_allocations",
     "partition_table",
     "shard_of_key",
@@ -90,6 +91,18 @@ def shards_of_keys(keys: Sequence, num_shards: int) -> np.ndarray:
     """Vector of shard indices, one per stratum key."""
     return np.asarray(
         [shard_of_key(k, num_shards) for k in keys], dtype=np.int64
+    )
+
+
+def join_versions(versions: Sequence[str]) -> str:
+    """One display string for N per-shard versions: the common version
+    when they agree (the usual case after a build/rebuild), else an
+    explicit per-shard list."""
+    unique = list(dict.fromkeys(versions))
+    if len(unique) == 1:
+        return unique[0]
+    return "|".join(
+        f"shard{i:02d}={v}" for i, v in enumerate(versions)
     )
 
 

@@ -1,26 +1,17 @@
-"""Accuracy contracts: construction, constraints, consistency."""
-
-import os
+"""Accuracy contracts: construction, constraints, consistency — on
+both topologies (``open_service`` fixture, see conftest.py)."""
 
 import numpy as np
 import pytest
 
-from repro.warehouse import (
-    AccuracyContract,
-    AccuracyContractViolation,
-    WarehouseService,
-)
+from repro.warehouse import AccuracyContract, AccuracyContractViolation
 
 SQL = "SELECT country, AVG(value) a FROM OpenAQ GROUP BY country"
 
-_BACKEND = os.environ.get("REPRO_TEST_BACKEND", "npz")
-
 
 @pytest.fixture()
-def service(tmp_path, openaq_small):
-    svc = WarehouseService(
-        tmp_path / "wh", {"OpenAQ": openaq_small}, backend=_BACKEND
-    )
+def service(tmp_path, openaq_small, open_service):
+    svc = open_service(tmp_path / "wh", {"OpenAQ": openaq_small})
     svc.build(
         "s", "OpenAQ", group_by=["country"], value_columns=["value"],
         budget=800,
@@ -124,14 +115,12 @@ class TestConstraints:
         }
 
     def test_max_staleness_enforced_after_refresh(
-        self, tmp_path, openaq_small
+        self, tmp_path, openaq_small, open_service
     ):
         n = openaq_small.num_rows
         base = openaq_small.take(np.arange(0, int(n * 0.6)))
         batch = openaq_small.take(np.arange(int(n * 0.6), n))
-        svc = WarehouseService(
-            tmp_path / "wh2", {"OpenAQ": base}, backend=_BACKEND
-        )
+        svc = open_service(tmp_path / "wh2", {"OpenAQ": base})
         svc.build(
             "s", "OpenAQ", group_by=["country"], value_columns=["value"],
             budget=600,

@@ -1,4 +1,7 @@
-"""WarehouseService: routing, caching, swaps, and concurrency."""
+"""WarehouseService: routing, caching, swaps, and concurrency.
+
+Serving and refresh cases run over both topologies through the
+``open_service`` fixture (see conftest.py)."""
 
 import os
 import threading
@@ -24,10 +27,8 @@ def halves(table):
 
 
 @pytest.fixture()
-def service(tmp_path, openaq_small):
-    svc = WarehouseService(
-        tmp_path / "wh", {"OpenAQ": openaq_small}, backend=_BACKEND
-    )
+def service(tmp_path, openaq_small, open_service):
+    svc = open_service(tmp_path / "wh", {"OpenAQ": openaq_small})
     svc.build(
         "s", "OpenAQ", group_by=["country"], value_columns=["value"],
         budget=800,
@@ -63,39 +64,50 @@ class TestServing:
         result = service.query(SQL)  # recomputed, not the stale entry
         assert result.route.approximate
 
-    def test_warm_start_from_store(self, service, tmp_path, openaq_small):
+    def test_warm_start_from_store(
+        self, service, tmp_path, openaq_small, open_service
+    ):
         # A second service over the same root adopts the stored sample.
-        twin = WarehouseService(
-            tmp_path / "wh", {"OpenAQ": openaq_small}, backend=_BACKEND
-        )
+        twin = open_service(tmp_path / "wh", {"OpenAQ": openaq_small})
         assert "s" in twin.samples()
         assert twin.query(SQL).route.sample_name == "s"
 
     def test_orphan_adopted_on_table_registration(
-        self, service, tmp_path, openaq_small
+        self, service, tmp_path, openaq_small, open_service
     ):
-        twin = WarehouseService(tmp_path / "wh", backend=_BACKEND)
+        twin = open_service(tmp_path / "wh")
         assert twin.samples() == []
         twin.register_table("OpenAQ", openaq_small)
         assert "s" in twin.samples()
+        assert twin.query(SQL).route.approximate
 
-    def test_stats_snapshot(self, service):
+    def test_stats_snapshot(self, service, open_service):
         service.query(SQL)
         stats = service.stats()
         assert stats["tables"]["OpenAQ"] > 0
         assert stats["samples"]["s"]["version"] == "v000001"
-        assert stats["samples"]["s"]["served_version"] == "v000001"
         assert stats["queries_served"] >= 1
+        for block in ("epoch", "store", "answer_cache", "groupcode_cache"):
+            assert block in stats
+        if open_service.topology == "plain":
+            assert stats["samples"]["s"]["served_version"] == "v000001"
+            assert "plan_cache" in stats and "shards" not in stats
+
+    def test_health_snapshot(self, service):
+        service.query(SQL)
+        health = service.health()
+        assert health["status"] == "ok"
+        assert health["epoch"] == service.epoch
+        assert health["tables"] == 1 and health["samples"] == 1
+        assert health["queries_served"] == 1
 
 
 class TestRefresh:
     def test_refresh_swaps_version_and_grows_base(
-        self, tmp_path, openaq_small
+        self, tmp_path, openaq_small, open_service
     ):
         base, batch = halves(openaq_small)
-        svc = WarehouseService(
-            tmp_path / "wh", {"OpenAQ": base}, backend=_BACKEND
-        )
+        svc = open_service(tmp_path / "wh", {"OpenAQ": base})
         svc.build(
             "s", "OpenAQ", group_by=["country"], value_columns=["value"],
             budget=600,
@@ -108,12 +120,10 @@ class TestRefresh:
         assert exact["c"][0] == openaq_small.num_rows
 
     def test_refreshed_sample_serves_consistent_population(
-        self, tmp_path, openaq_small
+        self, tmp_path, openaq_small, open_service
     ):
         base, batch = halves(openaq_small)
-        svc = WarehouseService(
-            tmp_path / "wh", {"OpenAQ": base}, backend=_BACKEND
-        )
+        svc = open_service(tmp_path / "wh", {"OpenAQ": base})
         svc.build(
             "s", "OpenAQ", group_by=["country"], value_columns=["value"],
             budget=600,

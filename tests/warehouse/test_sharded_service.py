@@ -1,6 +1,10 @@
-"""Scatter-gather front: equivalence with the unsharded service,
-contracts on merged moments, parallel refresh, and central rebuild
-escalation."""
+"""Scatter-gather topology: equivalence with the local one, contracts
+on merged moments, parallel refresh, and central rebuild escalation.
+
+What the front promises on *either* topology (answer cache, contract
+reject/fallback, orphan adoption, common stats/health keys) is asserted
+once, over the ``open_service`` fixture, in test_service.py,
+test_contracts.py and test_window_routing.py."""
 
 import os
 
@@ -8,11 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine.sql.executor import execute_sql
-from repro.warehouse import (
-    AccuracyContractViolation,
-    ShardedWarehouseService,
-    WarehouseService,
-)
+from repro.warehouse import ShardedWarehouseService, WarehouseService
 
 # CI legs re-run this suite per storage backend (see conftest.py)
 _BACKEND = os.environ.get("REPRO_TEST_BACKEND", "npz")
@@ -155,25 +155,35 @@ class TestServing:
         assert not result.route.approximate
         assert "shard fan-out failed" in result.route.reason
 
-    def test_answer_cache_hit(self, pair):
-        sharded, _ = pair
-        first = sharded.query(SQL)
-        second = sharded.query(SQL)
-        assert second is first
+    def test_contract_names_the_versions_that_answered(
+        self, pair, openaq_small
+    ):
+        """A worker hot-swaps after the front routed but before it
+        gathered: the contract must name the version whose rows came
+        back, not the one the front last heard about."""
+        from repro.warehouse import partition_table
 
-    def test_contract_reject_raises(self, pair):
         sharded, _ = pair
-        with pytest.raises(AccuracyContractViolation):
-            sharded.query_with_contract(
-                SQL, max_cv=1e-9, on_violation="reject"
-            )
+        piece = partition_table(
+            openaq_small.take(np.arange(0, 600)), ("country",), 3
+        )[0]
+        assert piece.num_rows > 0
+        client = sharded.clients[0]
+        real_request = client.request
 
-    def test_contract_fallback_executes_exactly(self, pair):
-        sharded, _ = pair
-        answer = sharded.query_with_contract(SQL, max_cv=1e-9)
-        assert answer.contract.fallback_exact
-        assert answer.contract.executed == "exact"
-        assert answer.contract.satisfied
+        def swap_then_answer(op, **payload):
+            if op == "partials":
+                client.request = real_request
+                real_request("refresh", name="s", batch=piece, seed=1)
+            return real_request(op, **payload)
+
+        client.request = swap_then_answer
+        contract = sharded.query_with_contract(SQL).contract
+        assert contract.sample_version == (
+            "shard00=v000002|shard01=v000001|shard02=v000001"
+        )
+        # The front itself has not looked at the shards again yet.
+        assert sharded.served_versions()["s"] == "v000001"
 
 
 class TestMaintenance:
@@ -254,21 +264,6 @@ class TestTopology:
             assert set(got) == set(want)
             for key, values in want.items():
                 assert got[key] == pytest.approx(values, rel=1e-9)
-
-    def test_orphan_adopted_on_table_registration(
-        self, pair, tmp_path, openaq_small
-    ):
-        sharded, _ = pair
-        twin = ShardedWarehouseService(
-            tmp_path / "sh", backend=_BACKEND, workers="inprocess"
-        )
-        try:
-            assert twin.samples() == []
-            twin.register_table("OpenAQ", openaq_small)
-            assert "s" in twin.samples()
-            assert twin.query(SQL).route.approximate
-        finally:
-            twin.close()
 
     def test_health_and_stats_expose_shards(self, pair):
         sharded, _ = pair

@@ -16,8 +16,12 @@ with hypothesis-generated timestamped streams:
   equal mass, and uniform moment scaling leaves per-window means and
   CVs untouched,
 - tumbling windows are half-open: every row lands in exactly one
-  window.
+  window,
+- a decayed, retention-pruned family answers, contracts and rejects
+  identically whether its rows sit in one process or in two shards.
 """
+
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +31,11 @@ from repro.core.cvopt import CVOptSampler
 from repro.core.spec import GroupByQuerySpec
 from repro.core.streaming import StreamingCVOptSampler
 from repro.engine.table import Table
+from repro.warehouse import (
+    AccuracyContractViolation,
+    ShardedWarehouseService,
+    WarehouseService,
+)
 from repro.warehouse.windows import (
     merge_window_allocations,
     merge_window_samples,
@@ -243,3 +252,83 @@ class TestDecay:
                     rtol=1e-9,
                     atol=1e-6,  # zero-variance cancellation noise
                 )
+
+
+class TestShardedDecayRetention:
+    """Decay scales each window's moments, retention drops windows off
+    the horizon; neither cares where a window's rows live. Windows and
+    shards partition rows along orthogonal axes, so a 2-shard family is
+    the plain family to float summation order."""
+
+    N_WINDOWS = 8
+    SLIDE = (
+        "SELECT g, SUM(a) s, AVG(b) m, COUNT(*) c, MAX(a) hi "
+        "FROM T WHERE ts >= {lo} GROUP BY g"
+    )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        extra=rows_strategy,
+        decay=st.floats(0.2, 1.0),
+        retention=st.integers(2, 5),
+        budget=st.integers(4, 25),
+        seed=st.integers(0, 50),
+    )
+    def test_two_shards_equal_plain(
+        self, extra, decay, retention, budget, seed
+    ):
+        # Every window is populated, so retention always expires some.
+        rows = extra + [
+            (g, w * WIDTH + i, 1.0 + i + w, 2.0 + w)
+            for w in range(self.N_WINDOWS)
+            for i, g in enumerate(["g1", "g2", "g3", "g1"])
+        ]
+        table = make_table(rows)
+        oldest = (self.N_WINDOWS - retention) * WIDTH
+        with tempfile.TemporaryDirectory() as root, ShardedWarehouseService(
+            root + "/sharded", {"T": table}, shards=2, workers="inprocess"
+        ) as sharded:
+            plain = WarehouseService(root + "/plain", {"T": table})
+            for service in (plain, sharded):
+                service.build_windowed(
+                    "s", "T", group_by=["g"], value_columns=["a", "b"],
+                    budget=budget, ts_column="ts", window=WIDTH,
+                    decay=decay, retention=retention, seed=seed,
+                )
+            assert sorted(sharded.samples()) == sorted(plain.samples())
+            assert len(plain.samples()) == retention
+
+            sql = self.SLIDE.format(lo=oldest)
+            want = plain.query_with_contract(sql)
+            got = sharded.query_with_contract(sql)
+            assert want.contract.executed == "approximate"
+            assert want.contract.sample_name == "s@slide"
+            a, b = got.table.to_pydict(), want.table.to_pydict()
+            order_a, order_b = np.argsort(a["g"]), np.argsort(b["g"])
+            assert sorted(a["g"]) == sorted(b["g"])
+            for column in ("s", "m", "c", "hi"):
+                np.testing.assert_allclose(
+                    np.asarray(a[column])[order_a],
+                    np.asarray(b[column])[order_b],
+                    rtol=1e-9,
+                )
+            ca, cb = got.contract, want.contract
+            assert ca.sample_version == cb.sample_version
+            assert ca.window_bounds == cb.window_bounds
+            np.testing.assert_allclose(
+                ca.predicted_cv, cb.predicted_cv, rtol=1e-9
+            )
+            assert ca.group_keys == cb.group_keys
+            np.testing.assert_allclose(
+                ca.group_cvs, cb.group_cvs, rtol=1e-9
+            )
+
+            below = self.SLIDE.format(lo=oldest - WIDTH)
+            messages = []
+            for service in (plain, sharded):
+                try:
+                    service.query_with_contract(below, on_violation="reject")
+                except AccuracyContractViolation as exc:
+                    messages.append(str(exc))
+            assert len(messages) == 2 and messages[0] == messages[1]
+            assert "retention" in messages[0]

@@ -4,7 +4,8 @@
 window set (a single member or the materialized ``@slide`` merge),
 half-open boundary timestamps land in exactly one window, predicates
 the windows cannot cover fall back to exact, and retention violations
-surface through the contract machinery.
+surface through the contract machinery (on both topologies — the
+``open_service`` fixture, see conftest.py).
 
 Budgets here exceed the per-window row counts, so every windowed
 member carries *all* of its window's rows at weight 1 and an
@@ -186,10 +187,8 @@ class TestContracts:
         )
         assert answer.contract.window_bounds is None
 
-    def test_below_retention_rejected(self, tmp_path):
-        svc = WarehouseService(
-            tmp_path / "wh", {"T": timestamped_table()}, backend=_BACKEND
-        )
+    def test_below_retention_rejected(self, tmp_path, open_service):
+        svc = open_service(tmp_path / "wh", {"T": timestamped_table()})
         svc.build_windowed(
             "s", "T", group_by=["g"], value_columns=["v"], budget=500,
             ts_column="ts", window=HOUR, retention=3,
@@ -210,6 +209,37 @@ class TestContracts:
         assert answer_map(answer.result.table) == pytest.approx(
             answer_map(exact.table)
         )
+
+
+class TestOneSwapPerBatch:
+    def test_windowed_refresh_is_one_swap(self, tmp_path, open_service):
+        """A batch that refreshes the newest member *and* opens a new
+        window is one maintenance round: the epoch advances once, on
+        either topology, so readers see none or all of it and the
+        answer cache is emptied once."""
+        svc = open_service(tmp_path / "wh", {"T": timestamped_table()})
+        svc.build_windowed(
+            "s", "T", group_by=["g"], value_columns=["v"], budget=500,
+            ts_column="ts", window=HOUR,
+        )
+        newest = (N_HOURS - 1) * HOUR
+        batch = Table.from_pydict(
+            {
+                "g": ["A", "B", "A", "B"],
+                "ts": [newest + 7, newest + 8,
+                       N_HOURS * HOUR + 1, N_HOURS * HOUR + 2],
+                "v": [1.0, 2.0, 3.0, 4.0],
+            }
+        )
+        before = svc.epoch
+        report = svc.refresh("s", batch)
+        assert report.refreshed == [newest]
+        assert report.opened == [N_HOURS * HOUR]
+        assert svc.epoch == before + 1
+        exact = svc.execute("SELECT COUNT(*) c FROM T")
+        assert exact["c"][0] == N_HOURS * ROWS_PER_HOUR + 4
+        result = svc.query(sql(f"ts >= {HOUR}"))
+        assert result.route.window_bounds == (HOUR, (N_HOURS + 1) * HOUR)
 
 
 class TestStoreMeta:
