@@ -10,10 +10,15 @@ Besides the pytest-benchmark suite, this file runs standalone for CI
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke \
         --out bench_engine.json
 
-The script mode times the factorize kernels (hash vs ``np.unique``) and
-the group-code cache (cold factorize vs warm hit), and exits non-zero
-when the warm cached path is less than 2x faster than cold factorize —
-the regression gate for the caching layer.
+The script mode times the factorize kernels (hash vs ``np.unique``), a
+4-key grouping through the combined-code path against the lexsort
+path, the group-code cache (cold factorize vs warm hit) and the fused
+filter + group + aggregate operator against the filter-then-aggregate
+reference. With ``--smoke`` it exits non-zero when the warm cached path
+is less than 2x faster than cold factorize, or when the fused operator
+is slower than the reference at any measured point (beyond a timing-
+noise allowance: when nearly every row of an un-stamped table survives,
+both sides gather and factorize the same rows and tie by construction).
 """
 
 import argparse
@@ -28,10 +33,13 @@ import pytest
 from repro.aqp.session import AQPSession
 from repro.core.cvopt import CVOptSampler
 from repro.core.spec import GroupByQuerySpec
+from repro.engine.expr import evaluate, evaluate_predicate
 from repro.engine.groupby import (
     compute_group_keys,
+    compute_group_keys_sorted,
     factorize_hash,
     factorize_sort,
+    group_by_aggregate,
 )
 from repro.engine.groupcache import default_group_code_cache
 from repro.engine.reservoir import stratified_sample_indices
@@ -330,7 +338,107 @@ def run(rows: int, repeats: int) -> dict:
         "hits": counters["hits"],
         "misses": counters["misses"],
     }
+
+    # Phase 3: a 4-key GROUP BY — combined codes (the only grouping
+    # entry; cacheable) against lexsorting the per-column codes.
+    wide = Table.from_pydict(
+        {
+            "a": rng.integers(0, 40, rows),
+            "b": rng.integers(0, 12, rows),
+            "c": rng.integers(0, 6, rows),
+            "d": rng.integers(0, 3, rows),
+        }
+    )
+    by = ("a", "b", "c", "d")
+    hashed, hash4_seconds = _timed(
+        lambda: compute_group_keys(wide, by), repeats
+    )
+    lexsorted, sort4_seconds = _timed(
+        lambda: compute_group_keys_sorted(wide, by), repeats
+    )
+    assert np.array_equal(hashed.gids, lexsorted.gids)
+    results["four_key_grouping"] = {
+        "rows": rows,
+        "groups": hashed.num_groups,
+        "combined_seconds": hash4_seconds,
+        "lexsort_seconds": sort4_seconds,
+        "speedup_vs_lexsort": sort4_seconds / max(hash4_seconds, 1e-12),
+    }
+
+    results["filtered_aggregate"] = _filtered_aggregate(rng, repeats)
     return results
+
+
+#: ``(label, rows, token-stamped?)``: a served sample version (group
+#: codes come from the cache) and a base table on the exact path (key
+#: columns are gathered and factorized).
+_FILTERED_INPUTS = (("sample", 100_000, True), ("base", 1_000_000, False))
+_SELECTIVITIES = (0.01, 0.5, 0.99)
+#: The gate's floor on reference / fused: 1.0 less run-to-run noise at
+#: the one point where the two sides do the same work (base, 0.99).
+_FUSED_MIN_SPEEDUP = 0.9
+
+
+def _filtered_aggregate(rng, repeats: int) -> list:
+    """Fused operator vs ``Table.filter`` -> ``group_by_aggregate``."""
+    cache = default_group_code_cache()
+    points = []
+    for label, rows, stamped in _FILTERED_INPUTS:
+        table = Table.from_pydict(
+            {
+                "g": rng.integers(0, 40, rows),
+                "h": rng.integers(0, 8, rows),
+                "v": rng.normal(10.0, 3.0, rows),
+                "u": rng.random(rows),
+                "__weight__": rng.uniform(1.0, 20.0, rows),
+            },
+            name="T",
+        )
+        if stamped:
+            table.cache_token = ("bench", "filtered", label)
+        try:
+            for selectivity in _SELECTIVITIES:
+                query = parse_query(
+                    "SELECT g, h, AVG(v) a, SUM(v) s, COUNT(*) c FROM T "
+                    f"WHERE u < {selectivity} GROUP BY g, h"
+                )
+                plan = plan_query(query, weight_column="__weight__")
+                value = query.items[2].expr.arg  # the aggregated column
+
+                def reference():
+                    kept = table.filter(
+                        evaluate_predicate(query.where, table)
+                    )
+                    v = evaluate(value, kept)
+                    return group_by_aggregate(
+                        kept,
+                        ("g", "h"),
+                        [("a", "AVG", v), ("s", "SUM", v), ("c", "COUNT", None)],
+                        kept.column("__weight__").data,
+                    )
+
+                want, reference_seconds = _timed(reference, repeats)
+                got, fused_seconds = _timed(
+                    lambda: plan.run({"T": table}), repeats
+                )
+                for name in ("a", "s", "c"):
+                    assert (
+                        got.column(name).data.tobytes()
+                        == want.column(name).data.tobytes()
+                    )
+                points.append(
+                    {
+                        "input": label,
+                        "rows": rows,
+                        "selectivity": selectivity,
+                        "fused_seconds": fused_seconds,
+                        "reference_seconds": reference_seconds,
+                        "speedup": reference_seconds / max(fused_seconds, 1e-12),
+                    }
+                )
+        finally:
+            cache.invalidate()
+    return points
 
 
 def main(argv=None) -> int:
@@ -352,6 +460,7 @@ def main(argv=None) -> int:
     rows = args.rows or (300_000 if args.smoke else 2_000_000)
     results = run(rows=rows, repeats=args.repeats)
     fz, gc = results["factorize"], results["groupcode_cache"]
+    wide = results["four_key_grouping"]
     with open(args.out, "w") as fh:
         json.dump(results, fh, indent=2)
 
@@ -362,13 +471,30 @@ def main(argv=None) -> int:
     print(f"groupcache cold {gc['cold_seconds'] * 1e3:.2f}ms vs "
           f"warm hit {gc['warm_seconds'] * 1e6:.0f}us "
           f"({gc['speedup']:.0f}x, hits={gc['hits']})")
+    print(f"4-key      {wide['groups']} groups: combined codes "
+          f"{wide['combined_seconds'] * 1e3:.1f}ms vs lexsort "
+          f"{wide['lexsort_seconds'] * 1e3:.1f}ms "
+          f"({wide['speedup_vs_lexsort']:.1f}x)")
+    for point in results["filtered_aggregate"]:
+        print(f"filtered   {point['input']:<6} {point['rows']:>7} rows "
+              f"sel {point['selectivity']:<4}: fused "
+              f"{point['fused_seconds'] * 1e3:.2f}ms vs reference "
+              f"{point['reference_seconds'] * 1e3:.2f}ms "
+              f"({point['speedup']:.1f}x)")
     print(f"wrote {args.out}")
 
+    failed = False
     if args.smoke and gc["speedup"] < args.min_cache_speedup:
         print(f"FAIL: cached-path speedup {gc['speedup']:.2f}x below "
               f"the {args.min_cache_speedup:.1f}x gate")
-        return 1
-    return 0
+        failed = True
+    for point in results["filtered_aggregate"]:
+        if args.smoke and point["speedup"] < _FUSED_MIN_SPEEDUP:
+            print(f"FAIL: fused filter+aggregate slower than the reference "
+                  f"on {point['input']} at selectivity "
+                  f"{point['selectivity']} ({point['speedup']:.2f}x)")
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

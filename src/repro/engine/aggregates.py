@@ -20,6 +20,8 @@ __all__ = [
     "compute_aggregate",
     "group_sums",
     "group_counts",
+    "mean_from_moments",
+    "variance_from_moments",
 ]
 
 _EMPTY = np.nan
@@ -48,39 +50,66 @@ def _agg_sum(values, gids, n_groups, weights):
     return group_sums(values, gids, n_groups, weights)
 
 
-def _agg_avg(values, gids, n_groups, weights):
-    totals = group_sums(values, gids, n_groups, weights)
-    counts = group_counts(gids, n_groups, weights)
+# ----------------------------------------------------------------------
+# moments -> value: shared with the shard-partials merge
+# (repro.warehouse.partials), which adds per-shard moments first
+# ----------------------------------------------------------------------
+def mean_from_moments(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``sum(w*v) / sum(w)`` per group; NaN where the group is empty."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(counts > 0, totals / counts, _EMPTY)
 
 
-def _agg_min(values, gids, n_groups, weights):
-    out = np.full(n_groups, np.inf)
-    np.minimum.at(out, gids, np.asarray(values, dtype=np.float64))
-    out[np.isinf(out)] = _EMPTY
+def variance_from_moments(
+    counts: np.ndarray, totals: np.ndarray, totals_sq: np.ndarray
+) -> np.ndarray:
+    """Population variance (ddof=0) from ``sum(w)``, ``sum(w*v)``,
+    ``sum(w*v^2)``."""
+    var = mean_from_moments(counts, totals_sq) - (
+        mean_from_moments(counts, totals) ** 2
+    )
+    # Clamp tiny negatives from floating-point cancellation.
+    return np.where(var < 0, 0.0, var)
+
+
+def _agg_avg(values, gids, n_groups, weights):
+    return mean_from_moments(
+        group_counts(gids, n_groups, weights),
+        group_sums(values, gids, n_groups, weights),
+    )
+
+
+def _extremum(ufunc, identity, values, gids, n_groups):
+    """Per-group MIN/MAX; NaN where the group has no rows.
+
+    Emptiness is decided by the row count, never by the value: a group
+    that contains ``±inf`` has that as its extremum. The count is only
+    taken when some result is infinite — an untouched identity cannot
+    be present otherwise.
+    """
+    out = np.full(n_groups, identity)
+    ufunc.at(out, gids, np.asarray(values, dtype=np.float64))
+    if np.isinf(out).any():
+        out[np.bincount(gids, minlength=n_groups) == 0] = _EMPTY
     return out
+
+
+def _agg_min(values, gids, n_groups, weights):
+    return _extremum(np.minimum, np.inf, values, gids, n_groups)
 
 
 def _agg_max(values, gids, n_groups, weights):
-    out = np.full(n_groups, -np.inf)
-    np.maximum.at(out, gids, np.asarray(values, dtype=np.float64))
-    out[np.isinf(out)] = _EMPTY
-    return out
+    return _extremum(np.maximum, -np.inf, values, gids, n_groups)
 
 
 def _agg_var(values, gids, n_groups, weights):
     """Population variance (ddof=0), weighted when weights are given."""
-    counts = group_counts(gids, n_groups, weights)
-    sums = group_sums(values, gids, n_groups, weights)
     sq = np.asarray(values, dtype=np.float64) ** 2
-    sums_sq = group_sums(sq, gids, n_groups, weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(counts > 0, sums / counts, _EMPTY)
-        ex2 = np.where(counts > 0, sums_sq / counts, _EMPTY)
-    var = ex2 - mean**2
-    # Clamp tiny negatives from floating-point cancellation.
-    return np.where(var < 0, 0.0, var)
+    return variance_from_moments(
+        group_counts(gids, n_groups, weights),
+        group_sums(values, gids, n_groups, weights),
+        group_sums(sq, gids, n_groups, weights),
+    )
 
 
 def _agg_std(values, gids, n_groups, weights):

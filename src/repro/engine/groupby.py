@@ -4,8 +4,7 @@ The central object is :class:`GroupKeys` — dense group ids per row plus
 one representative row index per group, from which key values for any
 grouped column can be recovered without re-hashing.
 
-Factorization runs through one of two kernels behind a cost rule (the
-same shape as the planner's hash-vs-sort group-by rule):
+Factorization runs through one of two kernels behind a cost rule:
 
 * :func:`factorize_hash` — O(n) direct addressing over the integer key
   domain. Dictionary-encoded strings, int64/timestamp columns, bools,
@@ -24,6 +23,18 @@ per-version group-code cache (:mod:`repro.engine.groupcache`) when the
 table carries a ``cache_token``: sample versions are immutable, so a
 repeated query shape skips factorization entirely.
 
+WHERE is executed *inside* the group-aggregate, never as a filtered
+copy of the table: :func:`select_rows` turns the predicate into an
+ascending index vector, :func:`selected_group_keys` — the one place
+that turns *(table, by, selection)* into :class:`GroupKeys`, shared by
+the physical aggregate operators and the shard partials — groups the
+selected rows, and :func:`gather` pulls only the columns a block
+references through the index. The group-by attributes of a sample are
+fixed when it is built and the predicate is the only part of a query
+that is new at run time, so on a token-stamped table the full-table
+codes come from the cache and a filtered query costs one mask, one
+``take`` and a compaction of the groups the predicate emptied.
+
 ``GROUP BY a, b WITH CUBE`` executes one grouping per subset of
 ``{a, b}`` (Hive semantics) and stacks the results; non-grouped key
 columns take the marker value :data:`ALL_MARKER`.
@@ -32,12 +43,13 @@ columns take the marker value :data:`ALL_MARKER`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..obs import default_tracer
 from .aggregates import compute_aggregate
+from .expr import Expr, evaluate_predicate
 from .groupcache import default_group_code_cache
 from .schema import DType
 from .table import Column, Table
@@ -50,6 +62,10 @@ __all__ = [
     "factorize_sort",
     "compute_group_keys",
     "compute_group_keys_sorted",
+    "select_rows",
+    "selected_group_keys",
+    "gather",
+    "row_context",
     "group_by_aggregate",
     "cube_grouping_sets",
 ]
@@ -198,9 +214,9 @@ def compute_group_keys(table: Table, by: Sequence[str]) -> GroupKeys:
     """Jointly factorize ``by`` columns into dense group ids.
 
     Wide or high-cardinality keys whose combined code space does not fit
-    in int64 are routed to :func:`compute_group_keys_sorted` (identical
-    output), so the combined-code multiply can never wrap and alias
-    distinct keys.
+    in int64 are grouped by lexsorting the per-column codes instead
+    (identical output), so the combined-code multiply can never wrap and
+    alias distinct keys.
 
     Tables stamped with a ``cache_token`` (immutable published sample
     versions — see :mod:`repro.engine.groupcache`) are served from the
@@ -208,22 +224,21 @@ def compute_group_keys(table: Table, by: Sequence[str]) -> GroupKeys:
     :class:`GroupKeys` without opening an ``engine.factorize`` span,
     annotating the enclosing span with ``factorize.cached`` instead.
     """
-    by = tuple(by)
+    return _group_keys(table, tuple(by))[0]
+
+
+def _group_keys(table: Table, by: tuple):
+    """``(GroupKeys, served from the group-code cache?)``."""
     n = table.num_rows
     if not by:
-        return GroupKeys(
-            by=(),
-            gids=np.zeros(n, dtype=np.int64),
-            num_groups=1 if n > 0 else 0,
-            representative=np.zeros(min(n, 1), dtype=np.int64),
-        )
+        return _single_group(n), False
     token = getattr(table, "cache_token", None)
     cache = default_group_code_cache() if token is not None else None
     if cache is not None:
         cached = cache.get(token, by)
         if cached is not None:
             default_tracer().annotate(**{"factorize.cached": True})
-            return cached
+            return cached, True
     with default_tracer().span("engine.factorize", rows=n, keys=len(by)):
         all_codes = []
         cardinalities = []
@@ -251,7 +266,110 @@ def compute_group_keys(table: Table, by: Sequence[str]) -> GroupKeys:
             )
     if cache is not None:
         cache.put(token, by, result)
-    return result
+    return result, False
+
+
+def _single_group(n: int) -> GroupKeys:
+    """The empty grouping: every row in group 0 (no group over no rows)."""
+    return GroupKeys(
+        by=(),
+        gids=np.zeros(n, dtype=np.int64),
+        num_groups=1 if n > 0 else 0,
+        representative=np.zeros(min(n, 1), dtype=np.int64),
+    )
+
+
+def select_rows(table: Table, where: Optional[Expr]) -> Optional[np.ndarray]:
+    """Ascending indices of the rows ``where`` keeps; ``None`` = all rows.
+
+    The predicate is evaluated once, on the unfiltered table (lazy
+    columns it does not reference stay unloaded).
+    """
+    if where is None:
+        return None
+    with default_tracer().span("engine.filter", rows=table.num_rows):
+        return np.flatnonzero(evaluate_predicate(where, table))
+
+
+def gather(
+    table: Table, names: Sequence[str], index: Optional[np.ndarray]
+) -> Table:
+    """Columns ``names`` of the selected rows (``index=None``: all rows,
+    sharing the buffers).
+
+    A block that references no column (``COUNT(*)``, ``SUM(1)``) still
+    needs its row count, so the result then carries one placeholder
+    column of that length.
+    """
+    if index is None:
+        columns = {name: table.column(name) for name in names}
+    else:
+        columns = {name: table.column(name).take(index) for name in names}
+    if not columns:
+        return row_context(table.num_rows if index is None else len(index))
+    return Table(columns, name=table.name)
+
+
+def row_context(n: int) -> Table:
+    """A table that only knows it has ``n`` rows (one placeholder column):
+    what expressions over literals and per-group arrays evaluate against."""
+    return Table({"__rows__": Column(DType.INT64, np.zeros(n, dtype=np.int64))})
+
+
+def selected_group_keys(
+    table: Table, by: Sequence[str], index: Optional[np.ndarray] = None
+) -> GroupKeys:
+    """Group the rows of ``table`` that ``index`` selects by ``by``.
+
+    Equals ``compute_group_keys(table.take(index), by)`` in group order,
+    count and key values, with ``gids`` aligned to the selected rows —
+    but ``representative`` indexes the *unfiltered* ``table``, and no
+    filtered table is built. What is done depends on what the input
+    shows:
+
+    * a ``cache_token`` (an immutable published sample version, on the
+      front or a shard worker): the full-table codes come from
+      :func:`compute_group_keys` — a group-code cache hit after the
+      first query of a ``by`` tuple — and are gathered through the
+      index; groups the selection emptied are compacted away so ids
+      stay dense;
+    * no token (base tables, join and subquery outputs): only the key
+      columns are gathered through the index and factorized.
+    """
+    by = tuple(by)
+    with default_tracer().span(
+        "engine.aggregate", rows=table.num_rows
+    ) as span:
+        cached = False
+        if index is None:
+            keys, cached = _group_keys(table, by)
+        elif not by:
+            keys = _single_group(len(index))
+        elif getattr(table, "cache_token", None) is None:
+            sub = compute_group_keys(gather(table, by, index), by)
+            keys = GroupKeys(
+                by, sub.gids, sub.num_groups, index[sub.representative]
+            )
+        else:
+            full, cached = _group_keys(table, by)
+            gids = full.gids.take(index)
+            alive = np.bincount(gids, minlength=full.num_groups) > 0
+            if alive.all():
+                keys = GroupKeys(
+                    by, gids, full.num_groups, full.representative
+                )
+            else:
+                lut = np.cumsum(alive) - 1
+                keys = GroupKeys(
+                    by,
+                    lut.take(gids),
+                    int(lut[-1]) + 1,
+                    full.representative[alive],
+                )
+        span.set_tag("selected", len(keys.gids))
+        span.set_tag("groups", keys.num_groups)
+        span.set_tag("cached", cached)
+    return keys
 
 
 def compute_group_keys_sorted(table: Table, by: Sequence[str]) -> GroupKeys:

@@ -14,9 +14,15 @@ row sets under the same sample name and version — in-process shard
 workers each see only their shard's slice, so each worker's
 :class:`~repro.warehouse.service.WarehouseService` stamps tables with
 its own scope (``shard-NN``). Tables without a token (base tables,
-filtered or otherwise derived tables) bypass the cache entirely:
+join outputs and other derived tables) bypass the cache entirely:
 derived tables are new objects whose token defaults to ``None``, which
 makes staleness impossible by construction.
+
+A WHERE does not derive a table: the aggregate operators and the shard
+partials keep the unfiltered, token-stamped table, take its full-table
+codes from this cache and select rows by index
+(:func:`repro.engine.groupby.selected_group_keys`), so filtered
+queries over a sample version are served from here as well.
 
 Invalidation is belt and braces: the version inside the token already
 isolates hot-swapped samples (a new version is a new key; old entries

@@ -32,11 +32,7 @@ from .planner import (
     parameterize_query,
     rename_tables,
 )
-from .operators import (
-    PhysicalPlan,
-    choose_group_strategy,
-    compile_plan,
-)
+from .operators import PhysicalPlan, compile_plan
 
 __all__ = [
     "parse_query",
@@ -56,6 +52,5 @@ __all__ = [
     "bind_plan",
     "format_plan",
     "compile_plan",
-    "choose_group_strategy",
     "PhysicalPlan",
 ]

@@ -34,16 +34,12 @@ __all__ = [
 ]
 
 
-def plan_query(
-    query: SelectQuery,
-    weight_column: str | None = None,
-    group_strategy: str | None = None,
-):
+def plan_query(query: SelectQuery, weight_column: str | None = None):
     """Lower, rewrite, and compile ``query`` into a runnable plan."""
     plan = lower_query(query)
     if weight_column:
         plan = apply_weighting(plan, weight_column)
-    return compile_plan(plan, group_strategy)
+    return compile_plan(plan)
 
 
 def execute_sql(

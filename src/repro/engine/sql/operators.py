@@ -6,20 +6,18 @@ resolve qualified column references. Operators keep the engine's
 vectorized numpy kernels; the per-clause ``_execute_*`` helpers of the
 old monolithic executor live on here as composable classes.
 
-Grouping has two interchangeable physical implementations:
-
-* :class:`HashGroupStrategy` — factorize/hash grouping via
-  :func:`~repro.engine.groupby.compute_group_keys` (combined-code
-  ``np.unique``), the fastest path for narrow keys;
-* :class:`SortGroupStrategy` — sort-based grouping via
-  :func:`~repro.engine.groupby.compute_group_keys_sorted`, which avoids
-  the combined-code multiplication and is chosen by
-  :func:`choose_group_strategy` when the key-space product could
-  overflow or the key is wide (cf. hash- vs sort-based group-by-
-  aggregate tradeoffs).
-
-Both produce identical group ids and ordering, so the physical choice
-never changes a result.
+WHERE is executed inside the aggregate operators. :func:`compile_plan`
+folds a ``Filter`` directly under a ``GroupAggregate``/``CubeAggregate``
+into the operator (``GroupAggregateOp(..., where=predicate)``), which
+never materialises a filtered table: the predicate becomes an index
+vector, group ids come from
+:func:`~repro.engine.groupby.selected_group_keys` (the group-code cache
+when the input is a token-stamped sample version, a factorization of
+the gathered key columns otherwise), and only the columns the block
+references are gathered through the index — so aggregate arguments and
+computed keys are evaluated on surviving rows only. :class:`FilterOp`
+remains for non-aggregate SELECTs; the logical plan (and ``EXPLAIN``)
+still shows the ``Filter`` node.
 """
 
 from __future__ import annotations
@@ -46,9 +44,11 @@ from ..expr import (
 from ..groupby import (
     ALL_MARKER,
     GroupKeys,
-    compute_group_keys,
-    compute_group_keys_sorted,
     cube_grouping_sets,
+    gather,
+    row_context,
+    select_rows,
+    selected_group_keys,
 )
 from ..join import hash_join
 from ..schema import DType
@@ -71,9 +71,6 @@ __all__ = [
     "OrderByOp",
     "LimitOp",
     "WithCTEOp",
-    "HashGroupStrategy",
-    "SortGroupStrategy",
-    "choose_group_strategy",
     "compile_plan",
     "PhysicalPlan",
 ]
@@ -92,75 +89,6 @@ class PhysicalOperator:
 
     def execute(self, catalog: dict) -> Relation:
         raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# group-by physical strategies
-# ----------------------------------------------------------------------
-class HashGroupStrategy:
-    """Factorize/hash grouping on a combined key code."""
-
-    name = "hash"
-
-    @staticmethod
-    def keys(table: Table, by) -> GroupKeys:
-        return compute_group_keys(table, by)
-
-
-class SortGroupStrategy:
-    """Sort-based grouping: lexsort per-column codes, scan boundaries."""
-
-    name = "sort"
-
-    @staticmethod
-    def keys(table: Table, by) -> GroupKeys:
-        return compute_group_keys_sorted(table, by)
-
-
-#: Combined-key-space bound above which the hash path's code
-#: multiplication risks int64 overflow.
-_HASH_KEYSPACE_LIMIT = 2**62
-#: Key widths at which sorting beats building combined codes.
-_SORT_KEY_WIDTH = 4
-
-_STRATEGIES = {"hash": HashGroupStrategy, "sort": SortGroupStrategy}
-
-
-def choose_group_strategy(table: Table, key_names) -> type:
-    """Cost rule picking a grouping implementation.
-
-    Single-column keys always hash. Wide keys sort. In between, bound
-    each column's cardinality (dictionary size for strings, row count
-    otherwise); if the product could overflow the combined int64 code,
-    sort instead of hashing.
-    """
-    if len(key_names) <= 1:
-        return HashGroupStrategy
-    if len(key_names) >= _SORT_KEY_WIDTH:
-        return SortGroupStrategy
-    bound = 1
-    for name in key_names:
-        column = table.column(name)
-        if column.dtype is DType.STRING:
-            cardinality = max(len(column.categories), 1)
-        else:
-            cardinality = max(table.num_rows, 1)
-        bound *= cardinality
-        if bound > _HASH_KEYSPACE_LIMIT:
-            return SortGroupStrategy
-    return HashGroupStrategy
-
-
-def _resolve_strategy(table: Table, key_names, requested: Optional[str]):
-    if requested is None or requested == "auto":
-        return choose_group_strategy(table, key_names)
-    try:
-        return _STRATEGIES[requested]
-    except KeyError:
-        raise QueryExecutionError(
-            f"unknown group strategy {requested!r}; "
-            f"known: {', '.join(sorted(_STRATEGIES))}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -394,17 +322,28 @@ def _column_from_array(arr: np.ndarray) -> Column:
 # ----------------------------------------------------------------------
 @dataclass
 class _AggregateState:
-    """Everything the grouping kernels need, resolved from the input."""
+    """Everything the grouping kernels need, resolved from the input.
 
-    working: Table
+    ``agg_inputs`` and ``weights`` hold the WHERE's survivors only and
+    align with the group ids. Group ids and key values come from
+    ``source`` through ``index``: the unfiltered input, or — when a
+    computed key had to be evaluated on the survivors first — the
+    gathered survivors themselves (no index).
+    """
+
+    source: Table
+    index: Optional[np.ndarray]
     bindings: list
     key_names: list
-    key_exprs: dict  # resolved group expr -> working column name
+    key_exprs: dict  # resolved group expr -> key column name in source
     agg_calls: list
     agg_inputs: list
     placeholders: dict
     weights: Optional[np.ndarray]
     alias_map: dict
+
+    def group_keys(self, by) -> GroupKeys:
+        return selected_group_keys(self.source, by, self.index)
 
 
 class _AggregateBase(PhysicalOperator):
@@ -417,49 +356,43 @@ class _AggregateBase(PhysicalOperator):
         items: Tuple[SelectItem, ...],
         having: Optional[Expr] = None,
         weight_column: Optional[str] = None,
-        strategy: Optional[str] = None,
+        where: Optional[Expr] = None,
     ) -> None:
         self.child = child
         self.group_by = tuple(group_by)
         self.items = tuple(items)
         self.having = having
         self.weight_column = weight_column
-        self.strategy = strategy
-
-    def _group_keys(self, working: Table, key_names) -> GroupKeys:
-        impl = _resolve_strategy(working, key_names, self.strategy)
-        return impl.keys(working, key_names)
+        self.where = where
 
     def _prepare(self, rel: Relation) -> _AggregateState:
-        working, bindings = rel.table, rel.bindings
+        table, bindings = rel.table, rel.bindings
         alias_map = {
             item.alias: item.expr for item in self.items if item.alias
         }
+        index = select_rows(
+            table,
+            None
+            if self.where is None
+            else _resolve_expr(self.where, table, bindings),
+        )
 
         # Group keys: plain refs use the table column; computed keys
         # become derived columns.
         key_names = []
         key_exprs = {}
-        derived = 0
+        computed = {}
         for expr in self.group_by:
             if isinstance(expr, ColumnRef) and expr.name in alias_map:
                 expr = alias_map[expr.name]
-            resolved = _resolve_expr(expr, working, bindings)
+            resolved = _resolve_expr(expr, table, bindings)
             if isinstance(resolved, ColumnRef):
-                key_names.append(resolved.name)
-                key_exprs[resolved] = resolved.name
+                name = resolved.name
             else:
-                name = f"__key_{derived}"
-                derived += 1
-                working = working.with_column(
-                    name, _column_from_array(evaluate(resolved, working))
-                )
-                key_names.append(name)
-                key_exprs[resolved] = name
-
-        weights = None
-        if self.weight_column and self.weight_column in working:
-            weights = working.column(self.weight_column).values_numeric()
+                name = f"__key_{len(computed)}"
+                computed[name] = resolved
+            key_names.append(name)
+            key_exprs[resolved] = name
 
         # Collect every aggregate call in SELECT + HAVING, deduplicated.
         agg_calls = []
@@ -468,26 +401,55 @@ class _AggregateBase(PhysicalOperator):
         if self.having is not None:
             agg_calls.extend(collect_agg_calls(self.having))
         agg_calls = list(dict.fromkeys(agg_calls))
+        agg_args = [
+            None
+            if isinstance(call.arg, Star) or call.arg is None
+            else _resolve_expr(call.arg, table, bindings)
+            for call in agg_calls
+        ]
+
+        # Gather what the block references, and nothing else, through
+        # the selection; expressions only ever see surviving rows.
+        referenced = {
+            ref.name
+            for expr in (*computed.values(), *agg_args)
+            if expr is not None
+            for ref in collect_column_refs(expr)
+        }
+        if self.weight_column and self.weight_column in table:
+            referenced.add(self.weight_column)
+        if computed:
+            referenced.update(n for n in key_names if n not in computed)
+        rows = gather(
+            table, [n for n in table.column_names if n in referenced], index
+        )
+        for name, expr in computed.items():
+            rows = rows.with_column(
+                name, _column_from_array(evaluate(expr, rows))
+            )
+
+        weights = None
+        if self.weight_column and self.weight_column in rows:
+            weights = rows.column(self.weight_column).values_numeric()
 
         agg_inputs = []
-        for call in agg_calls:
-            if isinstance(call.arg, Star) or call.arg is None:
-                agg_inputs.append((call.func, None))
-            else:
-                arg = _resolve_expr(call.arg, working, bindings)
-                values = evaluate(arg, working)
+        for call, arg in zip(agg_calls, agg_args):
+            values = None
+            if arg is not None:
+                values = evaluate(arg, rows)
                 if values.dtype.kind in ("O", "U", "S"):
                     raise QueryExecutionError(
                         "cannot aggregate string expression "
                         f"{expr_to_sql(call.arg)}"
                     )
-                agg_inputs.append((call.func, values))
+            agg_inputs.append((call.func, values))
 
         placeholders = {
             call: ColumnRef(f"__agg_{i}") for i, call in enumerate(agg_calls)
         }
         return _AggregateState(
-            working=working,
+            source=rows if computed else table,
+            index=None if computed else index,
             bindings=bindings,
             key_names=key_names,
             key_exprs=key_exprs,
@@ -504,8 +466,7 @@ class GroupAggregateOp(_AggregateBase):
 
     def execute(self, catalog: dict) -> Relation:
         state = self._prepare(self.child.execute(catalog))
-        working = state.working
-        keys = self._group_keys(working, state.key_names)
+        keys = state.group_keys(state.key_names)
         num_groups = keys.num_groups
         if not state.key_names and num_groups == 0:
             # SQL semantics: a full-table aggregate over zero rows still
@@ -514,12 +475,12 @@ class GroupAggregateOp(_AggregateBase):
         if state.key_names:
             gtable = Table(
                 {
-                    name: keys.key_column(working, name)
+                    name: keys.key_column(state.source, name)
                     for name in state.key_names
                 }
             )
         else:
-            gtable = _empty_context(num_groups)
+            gtable = row_context(num_groups)
         extra = {}
         for i, (func, values) in enumerate(state.agg_inputs):
             extra[f"__agg_{i}"] = compute_aggregate(
@@ -606,10 +567,9 @@ class CubeAggregateOp(_AggregateBase):
 
     def execute(self, catalog: dict) -> Relation:
         state = self._prepare(self.child.execute(catalog))
-        working = state.working
         pieces = []
         for subset in cube_grouping_sets(state.key_names):
-            keys = self._group_keys(working, list(subset))
+            keys = state.group_keys(subset)
             extra = {}
             for i, (func, values) in enumerate(state.agg_inputs):
                 extra[f"__agg_{i}"] = compute_aggregate(
@@ -621,7 +581,7 @@ class CubeAggregateOp(_AggregateBase):
                 if isinstance(expr, ColumnRef) and expr.name in state.alias_map:
                     expr = state.alias_map[expr.name]
                 resolved = (
-                    _resolve_expr(expr, working, state.bindings)
+                    _resolve_expr(expr, state.source, state.bindings)
                     if not isinstance(expr, AggCall)
                     else expr
                 )
@@ -633,7 +593,7 @@ class CubeAggregateOp(_AggregateBase):
                     )
                     out[name] = _column_from_array(
                         evaluate(
-                            rewritten, _empty_context(keys.num_groups), extra
+                            rewritten, row_context(keys.num_groups), extra
                         )
                     )
                 elif (
@@ -642,7 +602,7 @@ class CubeAggregateOp(_AggregateBase):
                 ):
                     if resolved.name in subset:
                         values = keys.key_column(
-                            working, resolved.name
+                            state.source, resolved.name
                         ).decode()
                         out[name] = Column.from_strings(
                             np.asarray(
@@ -665,10 +625,6 @@ class CubeAggregateOp(_AggregateBase):
         for piece in pieces[1:]:
             result = result.concat(piece)
         return Relation(result, state.bindings)
-
-
-def _empty_context(n: int) -> Table:
-    return Table({"__rows__": Column(DType.INT64, np.zeros(n, dtype=np.int64))})
 
 
 # ----------------------------------------------------------------------
@@ -732,64 +688,53 @@ class PhysicalPlan:
         return self.root.execute(dict(tables)).table
 
 
-def compile_plan(
-    plan: lp.LogicalPlan, group_strategy: Optional[str] = None
-) -> PhysicalPlan:
-    """Compile a logical plan into a physical operator tree.
-
-    ``group_strategy`` forces ``"hash"`` or ``"sort"`` grouping
-    everywhere; the default defers to :func:`choose_group_strategy` per
-    aggregation at run time.
-    """
-    return PhysicalPlan(_compile(plan, group_strategy), plan)
+def compile_plan(plan: lp.LogicalPlan) -> PhysicalPlan:
+    """Compile a logical plan into a physical operator tree."""
+    return PhysicalPlan(_compile(plan), plan)
 
 
-def _compile(plan: lp.LogicalPlan, strategy: Optional[str]) -> PhysicalOperator:
+def _compile(plan: lp.LogicalPlan) -> PhysicalOperator:
     if isinstance(plan, lp.Scan):
         return ScanOp(plan.table, plan.binding)
     if isinstance(plan, lp.Dual):
         return DualOp()
     if isinstance(plan, lp.SubqueryScan):
-        return SubqueryOp(_compile(plan.plan, strategy), plan.binding)
+        return SubqueryOp(_compile(plan.plan), plan.binding)
     if isinstance(plan, lp.Join):
         return JoinOp(
-            _compile(plan.left, strategy),
-            _compile(plan.right, strategy),
+            _compile(plan.left),
+            _compile(plan.right),
             plan.condition,
             plan.weight_column,
         )
     if isinstance(plan, lp.Filter):
-        return FilterOp(_compile(plan.child, strategy), plan.predicate)
+        return FilterOp(_compile(plan.child), plan.predicate)
     if isinstance(plan, lp.Project):
-        return ProjectOp(
-            _compile(plan.child, strategy), plan.items, plan.weight_column
+        return ProjectOp(_compile(plan.child), plan.items, plan.weight_column)
+    if isinstance(plan, (lp.GroupAggregate, lp.CubeAggregate)):
+        # WHERE runs inside the aggregate: no filtered table in between.
+        child, where = plan.child, None
+        if isinstance(child, lp.Filter):
+            child, where = child.child, child.predicate
+        op = (
+            GroupAggregateOp
+            if isinstance(plan, lp.GroupAggregate)
+            else CubeAggregateOp
         )
-    if isinstance(plan, lp.GroupAggregate):
-        return GroupAggregateOp(
-            _compile(plan.child, strategy),
+        return op(
+            _compile(child),
             plan.group_by,
             plan.items,
             plan.having,
             plan.weight_column,
-            strategy,
-        )
-    if isinstance(plan, lp.CubeAggregate):
-        return CubeAggregateOp(
-            _compile(plan.child, strategy),
-            plan.group_by,
-            plan.items,
-            plan.having,
-            plan.weight_column,
-            strategy,
+            where,
         )
     if isinstance(plan, lp.OrderBy):
-        return OrderByOp(_compile(plan.child, strategy), plan.keys)
+        return OrderByOp(_compile(plan.child), plan.keys)
     if isinstance(plan, lp.Limit):
-        return LimitOp(_compile(plan.child, strategy), plan.count)
+        return LimitOp(_compile(plan.child), plan.count)
     if isinstance(plan, lp.WithCTE):
         return WithCTEOp(
-            plan.name,
-            _compile(plan.definition, strategy),
-            _compile(plan.body, strategy),
+            plan.name, _compile(plan.definition), _compile(plan.body)
         )
     raise TypeError(f"cannot compile plan node {type(plan).__name__}")

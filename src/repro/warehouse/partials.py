@@ -20,7 +20,11 @@ keys) fall back to exact execution at the front.
 
 :func:`decompose` turns a parsed query into a :class:`DecomposedQuery`
 or ``None``; :func:`compute_partials` runs on a shard worker against
-its slice of the sample; :func:`merge_partials` +
+its slice of the sample — through the engine's fused filter + group
+kernel (:func:`repro.engine.groupby.selected_group_keys`, the function
+the physical operators call), so a WHERE is an index vector over the
+shard's cached group codes, never a filtered copy;
+:func:`merge_partials` +
 :func:`finalize_partials` run on the front and reproduce — modulo
 floating-point summation order — exactly what the unsharded engine's
 ``GroupAggregateOp`` would have produced on the whole sample,
@@ -36,7 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.sample import STRATUM_COLUMN, WEIGHT_COLUMN, StratifiedSample
+from ..core.sample import WEIGHT_COLUMN, StratifiedSample
+from ..engine.aggregates import mean_from_moments, variance_from_moments
 from ..engine.expr import (
     AggCall,
     ColumnRef,
@@ -45,11 +50,15 @@ from ..engine.expr import (
     collect_agg_calls,
     collect_column_refs,
     evaluate,
-    evaluate_predicate,
     expr_to_sql,
     rewrite,
 )
-from ..engine.groupby import compute_group_keys
+from ..engine.groupby import (
+    gather,
+    row_context,
+    select_rows,
+    selected_group_keys,
+)
 from ..engine.sql.ast import NamedTable, SelectItem, SelectQuery
 from ..engine.sql.errors import QueryExecutionError
 from ..engine.sql.operators import _column_from_array
@@ -64,14 +73,23 @@ __all__ = [
     "merge_partials",
 ]
 
-#: Aggregates with an exact moment/extremum decomposition. ``MEDIAN``
-#: is deliberately absent.
-DECOMPOSABLE_FUNCS = frozenset(
-    {
-        "COUNT", "SUM", "AVG", "MEAN", "MIN", "MAX",
-        "VAR", "VARIANCE", "STD", "STDDEV", "COUNT_IF",
-    }
-)
+#: Aggregates with an exact moment/extremum decomposition, and the
+#: moments of their argument each one reads (``COUNT`` reads the group
+#: weight only). ``MEDIAN`` is deliberately absent.
+_MOMENTS_READ = {
+    "COUNT": (),
+    "SUM": ("total",),
+    "COUNT_IF": ("total",),
+    "AVG": ("total",),
+    "MEAN": ("total",),
+    "MIN": ("vmin",),
+    "MAX": ("vmax",),
+    "VAR": ("total", "total_sq"),
+    "VARIANCE": ("total", "total_sq"),
+    "STD": ("total", "total_sq"),
+    "STDDEV": ("total", "total_sq"),
+}
+DECOMPOSABLE_FUNCS = frozenset(_MOMENTS_READ)
 
 
 @dataclass(frozen=True)
@@ -233,40 +251,37 @@ def compute_partials(
 ) -> ShardPartials:
     """Per-group partial moments over one shard's sample rows.
 
-    Applies the WHERE filter, groups by the query keys and computes
-    the weighted moment block of every aggregate argument — the exact
-    per-shard summands of the unsharded kernels in
-    :mod:`repro.engine.aggregates`.
+    Selects the WHERE's survivors and groups them with the engine's
+    fused kernel (:func:`~repro.engine.groupby.selected_group_keys` —
+    the same function the physical aggregate operators call, so a warm
+    shard serves its group codes from the cache), gathers only the HT
+    weights and the aggregate arguments' columns through the selection,
+    and computes, per aggregate call, the moments that call reads — the
+    exact per-shard summands of the unsharded kernels in
+    :mod:`repro.engine.aggregates`. Moments nobody asked for are the
+    merge's identities.
 
-    The table is first narrowed to the columns the decomposition can
-    touch (keys, WHERE references, aggregate arguments, HT weights):
-    with a lazy mmap-backed sample, ``Table.filter`` would otherwise
-    materialize every column just to subset it, and the projection
-    keeps a shard worker's resident set proportional to the query, not
-    the sample.
+    Only referenced columns are ever touched, so with a lazy mmap-backed
+    sample a shard worker's resident set stays proportional to the
+    query, not the sample.
     """
     table = sample.table
-    needed = set(dq.key_names) | {WEIGHT_COLUMN}
-    if dq.where is not None:
-        needed.update(ref.name for ref in collect_column_refs(dq.where))
+    index = select_rows(table, dq.where)
+    keys = selected_group_keys(table, dq.key_names, index)
+    referenced = {WEIGHT_COLUMN}
     for call in dq.agg_calls:
         if call.arg is not None and not isinstance(call.arg, Star):
-            needed.update(ref.name for ref in collect_column_refs(call.arg))
-    keep = [c for c in table.column_names if c in needed]
-    if len(keep) < len(table.column_names):
-        projected = table.select(keep)
-        # Same immutable rows, shared buffers — the group-code cache
-        # token stays valid on the projection.
-        projected.cache_token = table.cache_token
-        table = projected
-    if dq.where is not None:
-        table = table.filter(evaluate_predicate(dq.where, table))
-    weights = (
-        table.column(WEIGHT_COLUMN).values_numeric()
-        if WEIGHT_COLUMN in table
-        else np.ones(table.num_rows)
+            referenced.update(
+                ref.name for ref in collect_column_refs(call.arg)
+            )
+    rows = gather(
+        table, [c for c in table.column_names if c in referenced], index
     )
-    keys = compute_group_keys(table, dq.key_names)
+    weights = (
+        rows.column(WEIGHT_COLUMN).values_numeric()
+        if WEIGHT_COLUMN in rows
+        else np.ones(rows.num_rows)
+    )
     num_groups = keys.num_groups
     if not dq.key_names:
         # A full-table aggregate always has its one group, even over an
@@ -278,42 +293,53 @@ def compute_partials(
     gids = keys.gids
     wcount = np.bincount(gids, weights=weights, minlength=num_groups)
     support = np.bincount(gids, minlength=num_groups).astype(np.int64)
+    identity = _identity_block(num_groups)
     blocks: List[Optional[Dict[str, np.ndarray]]] = []
     for call in dq.agg_calls:
         if call.arg is None or isinstance(call.arg, Star):
             blocks.append(None)
             continue
-        values = np.asarray(evaluate(call.arg, table))
+        values = np.asarray(evaluate(call.arg, rows))
         if values.dtype.kind in ("O", "U", "S"):
             raise QueryExecutionError(
                 "cannot aggregate string expression "
                 f"{expr_to_sql(call.arg)}"
             )
         values = values.astype(np.float64)
-        weighted = values * weights
-        vmin = np.full(num_groups, np.inf)
-        vmax = np.full(num_groups, -np.inf)
-        if len(values):
-            np.minimum.at(vmin, gids, values)
-            np.maximum.at(vmax, gids, values)
-        blocks.append(
-            {
-                "total": np.bincount(
-                    gids, weights=weighted, minlength=num_groups
-                ),
-                "total_sq": np.bincount(
+        block = dict(identity)
+        wanted = _MOMENTS_READ[call.func]
+        if "total" in wanted:
+            weighted = values * weights
+            block["total"] = np.bincount(
+                gids, weights=weighted, minlength=num_groups
+            )
+            if "total_sq" in wanted:
+                block["total_sq"] = np.bincount(
                     gids, weights=weighted * values, minlength=num_groups
-                ),
-                "vmin": vmin,
-                "vmax": vmax,
-            }
-        )
+                )
+        if "vmin" in wanted:
+            block["vmin"] = np.full(num_groups, np.inf)
+            np.minimum.at(block["vmin"], gids, values)
+        if "vmax" in wanted:
+            block["vmax"] = np.full(num_groups, -np.inf)
+            np.maximum.at(block["vmax"], gids, values)
+        blocks.append(block)
     return ShardPartials(
         keys=[tuple(k) for k in tuples],
         wcount=wcount,
         support=support,
         blocks=blocks,
     )
+
+
+def _identity_block(n: int) -> Dict[str, np.ndarray]:
+    """A moment block that changes nothing when merged."""
+    return {
+        "total": np.zeros(n),
+        "total_sq": np.zeros(n),
+        "vmin": np.full(n, np.inf),
+        "vmax": np.full(n, -np.inf),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -338,12 +364,7 @@ def merge_partials(
     # argument, so an all-empty result still finalizes cleanly.
     blocks: List[Optional[Dict[str, np.ndarray]]] = [
         (
-            {
-                "total": np.zeros(n),
-                "total_sq": np.zeros(n),
-                "vmin": np.full(n, np.inf),
-                "vmax": np.full(n, -np.inf),
-            }
+            _identity_block(n)
             if any(
                 i < len(part.blocks) and part.blocks[i] is not None
                 for part in parts
@@ -384,39 +405,31 @@ def _merge_sort_key(key: tuple):
 
 
 def _final_values(
-    func: str, wcount: np.ndarray, block: Optional[Dict[str, np.ndarray]]
+    func: str,
+    wcount: np.ndarray,
+    support: np.ndarray,
+    block: Optional[Dict[str, np.ndarray]],
 ) -> np.ndarray:
     """The unsharded kernel's output, computed from merged moments."""
-    func = func.upper()
     if func == "COUNT":
         return wcount.astype(np.float64)
     if block is None:
         raise QueryExecutionError(f"{func} requires an argument")
-    if func in ("SUM", "COUNT_IF"):
-        return block["total"].astype(np.float64)
-    if func in ("AVG", "MEAN"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                wcount > 0, block["total"] / wcount, np.nan
-            )
-    if func == "MIN":
-        out = block["vmin"].copy()
-        out[np.isinf(out)] = np.nan
-        return out
-    if func == "MAX":
-        out = block["vmax"].copy()
-        out[np.isinf(out)] = np.nan
-        return out
-    if func in ("VAR", "VARIANCE", "STD", "STDDEV"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(wcount > 0, block["total"] / wcount, np.nan)
-            ex2 = np.where(
-                wcount > 0, block["total_sq"] / wcount, np.nan
-            )
-        var = ex2 - mean**2
-        var = np.where(var < 0, 0.0, var)
+    wanted = _MOMENTS_READ.get(func)
+    if wanted is None:
+        raise QueryExecutionError(f"aggregate {func!r} is not decomposable")
+    if "total_sq" in wanted:
+        var = variance_from_moments(
+            wcount, block["total"], block["total_sq"]
+        )
         return np.sqrt(var) if func in ("STD", "STDDEV") else var
-    raise QueryExecutionError(f"aggregate {func!r} is not decomposable")
+    if func in ("AVG", "MEAN"):
+        return mean_from_moments(wcount, block["total"])
+    if func in ("MIN", "MAX"):
+        # Empty by row count, not by value: a group holding ±inf has it
+        # as its extremum.
+        return np.where(support > 0, block[wanted[0]], np.nan)
+    return block["total"].astype(np.float64)  # SUM, COUNT_IF
 
 
 def finalize_partials(
@@ -432,6 +445,7 @@ def finalize_partials(
     # full-table aggregates always have their one () group.
     num_groups = len(merged.keys) if dq.key_names else 1
     wcount = merged.wcount[:num_groups]
+    support = merged.support[:num_groups]
     gtable_cols = {}
     for j, name in enumerate(dq.key_names):
         gtable_cols[name] = _column_from_array(
@@ -440,12 +454,13 @@ def finalize_partials(
     gtable = (
         Table(gtable_cols)
         if gtable_cols
-        else _group_context(num_groups)
+        else row_context(num_groups)
     )
     extra = {
         f"__agg_{i}": _final_values(
             call.func,
             wcount,
+            support,
             (
                 {k: v[:num_groups] for k, v in merged.blocks[i].items()}
                 if merged.blocks[i] is not None
@@ -482,16 +497,3 @@ def finalize_partials(
     if dq.limit is not None:
         table = table.head(dq.limit)
     return table
-
-
-def _group_context(num_groups: int) -> Table:
-    from ..engine.schema import DType
-    from ..engine.table import Column
-
-    return Table(
-        {
-            "__group__": Column(
-                DType.INT64, np.zeros(num_groups, dtype=np.int64)
-            )
-        }
-    )

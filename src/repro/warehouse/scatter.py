@@ -27,8 +27,8 @@ the session's own code on the same numbers the local topology sees.
   as freshly split pieces.
 * **Column projection rides the scatter.** Workers adopt their
   sub-store samples lazily under the ``mmap`` backend, and
-  :func:`~repro.warehouse.partials.compute_partials` narrows each
-  sample to the columns the decomposed query references — so a worker's
+  :func:`~repro.warehouse.partials.compute_partials` only touches the
+  columns the decomposed query references — so a worker's
   resident set is the hot columns of its traffic, and N workers on one
   host share one page-cache copy.
 """

@@ -1,15 +1,12 @@
-"""Physical operators: group strategies, cost rule, pipeline equality."""
+"""Physical operators: grouping kernels agree, pipeline equality."""
 
 import numpy as np
 import pytest
 
+from repro.engine import groupby
 from repro.engine.groupby import compute_group_keys, compute_group_keys_sorted
+from repro.engine.groupcache import default_group_code_cache
 from repro.engine.sql.executor import execute_sql, plan_query
-from repro.engine.sql.operators import (
-    HashGroupStrategy,
-    SortGroupStrategy,
-    choose_group_strategy,
-)
 from repro.engine.sql.parser import parse_query
 from repro.engine.table import Table
 
@@ -49,33 +46,24 @@ class TestSortedGroupKeys:
         assert keys.num_groups == 0
 
 
-class TestCostRule:
-    def test_single_key_hashes(self, simple_table):
-        assert choose_group_strategy(simple_table, ["g"]) is HashGroupStrategy
+@pytest.fixture
+def sorted_kernel(monkeypatch):
+    """Route every grouping of the pipeline through the lexsort kernel
+    (``compute_group_keys`` only reaches it on int64 key-space overflow)."""
+    combined = groupby._group_keys
 
-    def test_narrow_keys_hash(self, simple_table):
-        assert (
-            choose_group_strategy(simple_table, ["g", "h"])
-            is HashGroupStrategy
-        )
+    def lexsorted(table, by):
+        if not by:
+            return combined(table, by)
+        return compute_group_keys_sorted(table, by), False
 
-    def test_wide_keys_sort(self, simple_table):
-        keys = ["g", "h", "x", "y"]
-        assert choose_group_strategy(simple_table, keys) is SortGroupStrategy
+    def enable():
+        monkeypatch.setattr(groupby, "_group_keys", lexsorted)
 
-    def test_overflow_risk_sorts(self, simple_table, monkeypatch):
-        from repro.engine.sql import operators
-
-        # With a tiny key-space limit the same two-column key must be
-        # routed to the sort path.
-        monkeypatch.setattr(operators, "_HASH_KEYSPACE_LIMIT", 2)
-        assert (
-            choose_group_strategy(simple_table, ["g", "h"])
-            is SortGroupStrategy
-        )
+    return enable
 
 
-class TestStrategyInterchangeability:
+class TestKernelInterchangeability:
     QUERIES = [
         "SELECT g, h, SUM(x) s, COUNT(*) c FROM T GROUP BY g, h",
         "SELECT g, h, AVG(x) a FROM T GROUP BY g, h WITH CUBE",
@@ -83,36 +71,53 @@ class TestStrategyInterchangeability:
     ]
 
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_hash_and_sort_agree(self, simple_table, sql):
+    def test_hash_and_sort_agree(self, simple_table, sql, sorted_kernel):
         query = parse_query(sql)
-        hashed = plan_query(query, group_strategy="hash").run(
-            {"T": simple_table}
-        )
-        sorted_ = plan_query(query, group_strategy="sort").run(
-            {"T": simple_table}
-        )
+        hashed = plan_query(query).run({"T": simple_table})
+        sorted_kernel()
+        sorted_ = plan_query(query).run({"T": simple_table})
         _assert_tables_equal(hashed, sorted_)
 
-    def test_agree_on_dataset(self, openaq_small):
+    def test_agree_on_dataset(self, openaq_small, sorted_kernel):
         sub = openaq_small.head(8000)
         sql = (
             "SELECT country, parameter, AVG(value) a, COUNT(*) c "
             "FROM OpenAQ GROUP BY country, parameter"
         )
         query = parse_query(sql)
-        hashed = plan_query(query, group_strategy="hash").run({"OpenAQ": sub})
-        sorted_ = plan_query(query, group_strategy="sort").run({"OpenAQ": sub})
+        hashed = plan_query(query).run({"OpenAQ": sub})
+        sorted_kernel()
+        sorted_ = plan_query(query).run({"OpenAQ": sub})
         _assert_tables_equal(hashed, sorted_)
 
-    def test_weighted_agree(self, simple_table):
+    def test_weighted_agree(self, simple_table, sorted_kernel):
         weighted = simple_table.with_column(
             "__weight__",
             simple_table.column("y"),
         )
         query = parse_query("SELECT g, h, SUM(x) s FROM T GROUP BY g, h")
-        hashed = plan_query(query, "__weight__", "hash").run({"T": weighted})
-        sorted_ = plan_query(query, "__weight__", "sort").run({"T": weighted})
+        hashed = plan_query(query, "__weight__").run({"T": weighted})
+        sorted_kernel()
+        sorted_ = plan_query(query, "__weight__").run({"T": weighted})
         _assert_tables_equal(hashed, sorted_)
+
+
+class TestWideKeysUseTheGroupCodeCache:
+    def test_four_key_group_by_hits_the_cache(self, simple_table):
+        # There is one grouping entry, whatever the key width: a wide
+        # GROUP BY over an immutable version factorizes once.
+        table = simple_table.select(simple_table.column_names)
+        table.cache_token = ("test", "wide", "v1")
+        cache = default_group_code_cache()
+        sql = "SELECT g, h, x, y, COUNT(*) c FROM T GROUP BY g, h, x, y"
+        try:
+            cold = execute_sql(sql, {"T": table})
+            before = cache.counters()["hits"]
+            warm = execute_sql(sql, {"T": table})
+            assert cache.counters()["hits"] == before + 1
+            _assert_tables_equal(cold, warm)
+        finally:
+            cache.invalidate()
 
 
 class TestOrderByBooleanKey:

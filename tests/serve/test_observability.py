@@ -129,6 +129,41 @@ class TestTracesEndpoint:
         assert trace["tags"]["answer_cache"] in ("hit", "miss")
         assert "shape_key" in trace["tags"]
 
+    def test_filtered_query_shows_where_the_engine_time_went(
+        self, warehouse
+    ):
+        sql = (
+            "SELECT country, AVG(value) a FROM OpenAQ "
+            "WHERE value > {} GROUP BY country"
+        )
+
+        async def main():
+            server = await _started(warehouse)
+            try:
+                for literal in (1.0, 2.0):  # cold codes, then cached
+                    status, _ = await request(
+                        "127.0.0.1", server.port, "POST", "/query",
+                        {"sql": sql.format(literal)},
+                    )
+                    assert status == 200
+                _, payload = await request(
+                    "127.0.0.1", server.port, "GET",
+                    "/debug/traces?limit=1",
+                )
+                return payload["traces"][0]
+            finally:
+                await server.stop()
+
+        spans = {s["name"]: s for s in asyncio.run(main())["spans"]}
+        assert "engine.filter" in spans
+        assert "engine.factorize" not in spans  # second query of the keys
+        tags = spans["engine.aggregate"]["tags"]
+        assert tags["cached"] is True
+        assert 0 < tags["selected"] < tags["rows"]
+        assert tags["groups"] > 0
+        assert spans["engine.aggregate"]["parent_id"] \
+            == spans["aqp.execute"]["span_id"]
+
     def test_bad_limit_is_400(self, warehouse):
         async def main():
             server = await _started(warehouse)

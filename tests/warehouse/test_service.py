@@ -36,6 +36,41 @@ def service(tmp_path, openaq_small, open_service):
     return svc
 
 
+class TestInfiniteExtrema:
+    """MIN/MAX of a group that contains ±inf is that infinity: an empty
+    group is one with no rows, not one whose extremum looks like the
+    kernels' identity. Same answer from the operators (plain) and from
+    merged partials (sharded)."""
+
+    def test_min_max_keep_infinities(self, tmp_path, open_service):
+        from repro.engine.table import Table
+
+        table = Table.from_pydict(
+            {
+                "g": ["a", "a", "b", "b", "c", "c"],
+                "x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                "z": [1.0, np.inf, -np.inf, 2.0, 3.0, 4.0],
+            },
+            name="T",
+        )
+        svc = open_service(tmp_path / "wh", {"T": table})
+        # Budget covers every row, so the sample holds the infinities.
+        svc.build("s", "T", ["g"], ["x"], budget=6)
+        result = svc.query(
+            "SELECT g, MIN(z) lo, MAX(z) hi FROM T GROUP BY g ORDER BY g"
+        )
+        assert result.route.approximate
+        out = result.table.to_pydict()
+        assert out["g"] == ["a", "b", "c"]
+        assert out["lo"] == [1.0, -np.inf, 3.0]
+        assert out["hi"] == [np.inf, 2.0, 4.0]
+        # A WHERE that empties the table still reports NaN, not ±inf.
+        empty = svc.query(
+            "SELECT MIN(z) lo, MAX(z) hi FROM T WHERE x > 100"
+        ).table.to_pydict()
+        assert np.isnan(empty["lo"][0]) and np.isnan(empty["hi"][0])
+
+
 class TestServing:
     def test_query_routes_to_sample(self, service):
         result = service.query(SQL)
