@@ -24,6 +24,16 @@ measures:
 The interesting curve is how refresh rows/s decays with k: the
 streaming pass keeps one Welford state per (stratum, column), so the
 per-row cost is O(k) on top of the reservoir work.
+
+The ``ingest`` section takes one refresh apart on the served
+benchmark's shape — a batch into an OpenAQ sample stratified by
+(country, parameter), 10k rows into 100k retained over 192 strata at
+full size — timing ``resume`` / ``observe_table`` / ``finalize`` and
+``store.put`` of the result separately. Its ``--smoke`` gate is a
+ratio, not a time: the sampler (resume + observe + finalize) must cost
+no more than writing the same sample, i.e. ingest stays O(batch) and
+the version write is what is left to shrink (a per-row Python path
+costs ~3x the write).
 """
 
 from __future__ import annotations
@@ -36,6 +46,8 @@ import time
 
 import numpy as np
 
+from repro.core.streaming import StreamingCVOptSampler
+from repro.datasets import generate_openaq
 from repro.engine.table import Table
 from repro.warehouse.maintenance import (
     SampleMaintainer,
@@ -119,6 +131,49 @@ def bench_columns(
     }
 
 
+def bench_ingest(
+    rows: int, batch_rows: int, budget: int, repetitions: int, root: str
+) -> dict:
+    """One refresh, taken apart: median milliseconds per step."""
+    columns = ["value", "latitude"]
+    table = generate_openaq(num_rows=rows + batch_rows, seed=7)
+    batch = table.take(np.arange(rows, rows + batch_rows))
+    store = SampleStore(root)
+    SampleMaintainer(store).build(
+        "ingest", table.take(np.arange(rows)),
+        group_by=["country", "parameter"], value_columns=columns,
+        budget=budget, seed=0,
+    )
+    stored = store.get("ingest")
+    steps = {"resume": [], "observe_table": [], "finalize": [], "put": []}
+    for seed in range(repetitions):
+        marks = [time.perf_counter()]
+        sampler = StreamingCVOptSampler.resume(
+            stored.sample, columns, seed=seed
+        )
+        marks.append(time.perf_counter())
+        sampler.observe_table(batch)
+        marks.append(time.perf_counter())
+        sample = sampler.finalize()
+        marks.append(time.perf_counter())
+        store.put("ingest", sample, lineage=stored.lineage)
+        marks.append(time.perf_counter())
+        for step, lo, hi in zip(steps, marks, marks[1:]):
+            steps[step].append((hi - lo) * 1000.0)
+    out = {f"{step}_ms": float(np.median(ms)) for step, ms in steps.items()}
+    out["sampler_ms"] = (
+        out["resume_ms"] + out["observe_table_ms"] + out["finalize_ms"]
+    )
+    out.update(
+        batch_rows=batch_rows,
+        sample_rows=stored.sample.num_rows,
+        strata=stored.sample.allocation.num_strata,
+        replaced=sampler.replaced,
+        sampler_to_put_ratio=out["sampler_ms"] / out["put_ms"],
+    )
+    return out
+
+
 def run(
     rows: int,
     batch_rows: int,
@@ -172,11 +227,17 @@ def main() -> int:
         args.rows, args.batch_rows, args.budget = 8_000, 1_000, 600
         args.refreshes, args.drift_checks = 2, 10
         args.max_columns = 4
+    # ingest section: the sample keeps 10% of the base, the batch is 1%
+    ingest_rows = 100_000 if args.smoke else 1_000_000
 
     with tempfile.TemporaryDirectory(prefix="bench-maintenance-") as root:
         results = run(
             args.rows, args.batch_rows, args.budget, args.refreshes,
             args.drift_checks, args.max_columns, root,
+        )
+        results["ingest"] = bench_ingest(
+            ingest_rows, ingest_rows // 100, ingest_rows // 10, 5,
+            f"{root}/ingest",
         )
 
     for entry in results["runs"]:
@@ -187,10 +248,21 @@ def main() -> int:
             f"drift {entry['drift_check']['per_second']:8.1f}/s  "
             f"meta {entry['meta_bytes'] / 1024:7.1f} KiB"
         )
+    ingest = results["ingest"]
+    print(
+        f"ingest {ingest['batch_rows']} rows into {ingest['sample_rows']} "
+        f"({ingest['strata']} strata): resume {ingest['resume_ms']:.1f}  "
+        f"observe {ingest['observe_table_ms']:.1f}  "
+        f"finalize {ingest['finalize_ms']:.1f}  put {ingest['put_ms']:.1f} ms"
+        f"  -> sampler/put {ingest['sampler_to_put_ratio']:.2f}"
+    )
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(results, fh, indent=2)
         print(f"wrote {args.out}")
+    if args.smoke and ingest["sampler_to_put_ratio"] > 1.0:
+        print("FAIL: the sampler costs more than writing its sample")
+        return 1
     return 0
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "StrataStatistics",
     "WelfordAccumulator",
     "collect_strata_statistics",
+    "grouped_moments",
     "rollup",
     "summarize_column_stats",
 ]
@@ -145,6 +146,31 @@ def collect_strata_statistics(
     return stats
 
 
+def grouped_moments(
+    gids: np.ndarray, values: np.ndarray, num_groups: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group Welford state ``(count, mean, m2)`` of ``values``.
+
+    Two passes of scatter-sums: group sums give the means, then the
+    squared deviations *from the group mean* are summed — not
+    ``total_sq - n * mean**2``, which cancels catastrophically when
+    ``|mean| >> sigma``. The result is what per-value
+    :meth:`WelfordAccumulator.add` would reach (to rounding), so it
+    merges into running states through :meth:`WelfordAccumulator.merge`.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    count = np.bincount(gids, minlength=num_groups)
+    total = np.bincount(gids, weights=values, minlength=num_groups)
+    mean = np.divide(
+        total, count, out=np.zeros(len(count)), where=count > 0
+    )
+    deviation = values - mean[gids]
+    m2 = np.bincount(
+        gids, weights=deviation * deviation, minlength=num_groups
+    )
+    return count, mean, m2
+
+
 def rollup(
     fine: StrataStatistics, parent_gids: np.ndarray, num_parents: int
 ) -> StrataStatistics:
@@ -211,10 +237,12 @@ class WelfordAccumulator:
 
     __slots__ = ("count", "mean", "m2")
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+    def __init__(
+        self, count: float = 0, mean: float = 0.0, m2: float = 0.0
+    ) -> None:
+        self.count = count
+        self.mean = mean
+        self.m2 = m2
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -223,8 +251,13 @@ class WelfordAccumulator:
         self.m2 += delta * (value - self.mean)
 
     def add_many(self, values) -> None:
-        for v in np.asarray(values, dtype=np.float64):
-            self.add(float(v))
+        values = np.asarray(values, dtype=np.float64).ravel()
+        count, mean, m2 = grouped_moments(
+            np.zeros(len(values), dtype=np.intp), values, 1
+        )
+        self.merge(
+            WelfordAccumulator(int(count[0]), float(mean[0]), float(m2[0]))
+        )
 
     def scale(self, factor: float) -> None:
         """Uniformly down-weight the accumulated mass.

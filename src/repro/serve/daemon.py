@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..engine.table import Table
-from ..obs import default_registry
+from ..obs import default_registry, default_tracer
 from ..warehouse.service import WarehouseService
 from .service import AsyncWarehouseService
 
@@ -309,10 +309,16 @@ class MaintenanceDaemon:
                 attempts,
             )
         try:
-            batch = await asyncio.to_thread(Table.load, path)
-            report = await asyncio.to_thread(
-                self.service.refresh, sample, batch
-            )
+            # One trace per applied batch: the maintainer's get / ingest
+            # / put spans land under it (to_thread carries the context)
+            # and show up in /debug/traces next to the query traces.
+            with default_tracer().trace(
+                "daemon.refresh", sample=sample, file=path.name
+            ):
+                batch = await asyncio.to_thread(Table.load, path)
+                report = await asyncio.to_thread(
+                    self.service.refresh, sample, batch
+                )
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             if attempts > self.max_retries:

@@ -41,13 +41,14 @@ from ..core.allocation import allocate_for_columns
 from ..core.cvopt import CVOptSampler
 from ..core.sample import STRATUM_COLUMN, WEIGHT_COLUMN, StratifiedSample
 from ..core.spec import GroupByQuerySpec
-from ..core.streaming import StreamingCVOptSampler
+from ..core.streaming import StreamingCVOptSampler, cast_to_batch_dtypes
 from ..engine.statistics import (
     ColumnStats,
     StrataStatistics,
     collect_strata_statistics,
 )
 from ..engine.table import Table
+from ..obs import default_tracer
 from .sharding import join_versions
 from .store import SampleStore, StoredSample, derive_columns_block
 from .windows import parse_window, partition_by_window, window_sample_name
@@ -302,7 +303,9 @@ class SampleMaintainer:
         sample's lineage at build time). Every tracked column's
         per-stratum moments are merged exactly from the batch.
         """
-        stored = self.store.get(name)
+        tracer = default_tracer()
+        with tracer.span("maintenance.get", sample=name):
+            stored = self.store.get(name)
         lineage = dict(stored.lineage)
         window_block = getattr(stored, "window", None) or lineage.get(
             "window"
@@ -310,17 +313,26 @@ class SampleMaintainer:
         prev_event_ts = lineage.get("max_event_ts")
         value_columns = self._value_columns(stored, batch, columns)
         primary = value_columns[0]
-        batch = _align_batch(stored.sample, batch)
+        batch = _align_batch(name, stored.sample, batch)
 
-        sampler = StreamingCVOptSampler.resume(
-            stored.sample,
-            value_columns,
-            headroom=self.headroom,
-            seed=seed,
-        )
         old_strata = stored.sample.allocation.num_strata
-        sampler.observe_table(batch)
-        sample = sampler.finalize()
+        with tracer.span(
+            "maintenance.ingest", batch_rows=batch.num_rows
+        ) as span:
+            sampler = StreamingCVOptSampler.resume(
+                stored.sample,
+                value_columns,
+                headroom=self.headroom,
+                seed=seed,
+            )
+            sampler.observe_table(batch)
+            sample = sampler.finalize()
+            span.set_tag("sample_rows", sample.num_rows)
+            span.set_tag("strata", sample.allocation.num_strata)
+            span.set_tag(
+                "new_strata", sample.allocation.num_strata - old_strata
+            )
+            span.set_tag("replaced", sampler.replaced)
         # The streaming pass tracks every lineage column; fold the
         # batch's moments into any *other* column the build kept (e.g.
         # a legacy meta whose lineage predates multi-column tracking),
@@ -397,15 +409,16 @@ class SampleMaintainer:
                 )
             if event_ts is not None:
                 lineage["max_event_ts"] = int(event_ts)
-        version = self.store.put(
-            name,
-            sample,
-            table_name=stored.table_name,
-            lineage=lineage,
-            extra=stored.extra,
-            window=window_block,
-        )
-        self.store.prune(name, keep=self.keep_versions)
+        with tracer.span("maintenance.put", rows=sample.num_rows):
+            version = self.store.put(
+                name,
+                sample,
+                table_name=stored.table_name,
+                lineage=lineage,
+                extra=stored.extra,
+                window=window_block,
+            )
+            self.store.prune(name, keep=self.keep_versions)
         return RefreshReport(
             name=name,
             version=version,
@@ -730,21 +743,20 @@ def _fresh_lineage(value_columns: Sequence[str], base_rows: int) -> Dict:
     }
 
 
-def _align_batch(sample: StratifiedSample, batch: Table) -> Table:
+def _align_batch(name: str, sample: StratifiedSample, batch: Table) -> Table:
     """Project ``batch`` onto the sample's payload columns.
 
-    Missing columns are an error; extra ones are dropped — reservoir
-    rows from different eras must share one column set, or finalizing
-    the mixed rows would fail.
+    Missing columns are an error; extra ones are dropped — retained
+    rows from different eras must share one column set. Column dtypes
+    follow :func:`~repro.core.streaming.cast_to_batch_dtypes`, checked
+    here so a STRING/numeric clash is refused, by sample name, before
+    any maintenance state exists.
     """
-    needed = [
-        n
-        for n in sample.table.column_names
-        if n not in (WEIGHT_COLUMN, STRATUM_COLUMN)
-    ]
-    missing = [n for n in needed if n not in batch]
+    payload = sample.table.without_columns([WEIGHT_COLUMN, STRATUM_COLUMN])
+    missing = [n for n in payload.column_names if n not in batch]
     if missing:
         raise ValueError(
             f"batch is missing sample columns: {', '.join(missing)}"
         )
-    return batch.select(needed)
+    cast_to_batch_dtypes(payload, batch, owner=f"sample {name!r}")
+    return batch.select(payload.column_names)

@@ -12,6 +12,7 @@ import pytest
 from repro.obs import QueryLog, default_registry, default_tracer
 from repro.serve import (
     AsyncWarehouseService,
+    MaintenanceDaemon,
     WarehouseHTTPServer,
     request,
 )
@@ -128,6 +129,41 @@ class TestTracesEndpoint:
         # the session annotated the root with its routing decision
         assert trace["tags"]["answer_cache"] in ("hit", "miss")
         assert "shape_key" in trace["tags"]
+
+    def test_daemon_refresh_trace_says_where_the_time_went(
+        self, split_warehouse, tmp_path
+    ):
+        sync_service, batch = split_warehouse
+        watch = tmp_path / "incoming"
+        watch.mkdir()
+        batch.save(watch / "s__day1.npz")
+
+        async def main():
+            service = AsyncWarehouseService(sync_service)
+            server = await WarehouseHTTPServer(service, port=0).start()
+            try:
+                daemon = MaintenanceDaemon(
+                    service, watch, require_stable=False
+                )
+                (outcome,) = await daemon.poll()
+                assert outcome.ok, outcome
+                _, payload = await request(
+                    "127.0.0.1", server.port, "GET",
+                    "/debug/traces?limit=1",
+                )
+                return payload["traces"][0]
+            finally:
+                await server.stop()
+
+        trace = asyncio.run(main())
+        spans = {s["name"]: s for s in trace["spans"]}
+        assert trace["spans"][0]["name"] == "daemon.refresh"
+        assert {"maintenance.get", "maintenance.ingest", "maintenance.put"} \
+            <= set(spans), list(spans)
+        tags = spans["maintenance.ingest"]["tags"]
+        assert tags["batch_rows"] == batch.num_rows
+        assert tags["sample_rows"] > 0 and tags["strata"] > 0
+        assert tags["new_strata"] >= 0 and tags["replaced"] >= 0
 
     def test_filtered_query_shows_where_the_engine_time_went(
         self, warehouse

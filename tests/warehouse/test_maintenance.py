@@ -315,6 +315,60 @@ class TestMaintainer:
         assert report.source_rows == openaq_small.num_rows
         assert "extra" not in refreshed.table
 
+    def test_numeric_dtype_mismatch_takes_the_batch_dtype(self, maintainer):
+        # An INT64 sample column meeting a FLOAT64 batch column: the
+        # retained values are cast to the batch's dtype, no row is lost.
+        from repro.engine.schema import DType
+
+        base = Table.from_pydict(
+            {"g": ["a"] * 50 + ["b"] * 50, "x": list(range(100))}
+        )
+        maintainer.build(
+            "s", base, group_by=["g"], value_columns=["x"], budget=30,
+        )
+        assert maintainer.store.get("s").sample.table.column("x").dtype \
+            is DType.INT64
+        batch = Table.from_pydict(
+            {"g": ["a"] * 20, "x": [i + 0.5 for i in range(20)]}
+        )
+        report = maintainer.refresh("s", batch, seed=1)
+        refreshed = maintainer.store.get("s").sample
+        assert refreshed.table.column("x").dtype is DType.FLOAT64
+        assert report.source_rows == 120
+        assert int(refreshed.allocation.populations.sum()) == 120
+
+    def test_string_vs_numeric_mismatch_is_refused_by_name(
+        self, maintainer, openaq_small
+    ):
+        # A STRING column arriving where the sample holds numbers (or
+        # the reverse) is a data error the daemon should quarantine on
+        # sight: one ValueError naming sample, column and both dtypes,
+        # raised before a version is written.
+        base, batch = split_rows(openaq_small, 0.7)
+        maintainer.build(
+            "s", base, group_by=["country"], value_columns=["value"],
+            budget=500, seed=0,
+        )
+        from repro.engine.table import Column
+
+        bad = batch.with_column(
+            "latitude",
+            Column.from_strings(["north"] * batch.num_rows),
+        )
+        with pytest.raises(ValueError) as excinfo:
+            maintainer.refresh("s", bad)
+        message = str(excinfo.value)
+        for part in ("'s'", "'latitude'", "float64", "string"):
+            assert part in message, message
+        assert maintainer.store.get("s").version == "v000001"
+
+        numbers = batch.with_column(
+            "parameter",
+            Column.from_values(np.zeros(batch.num_rows)),
+        )
+        with pytest.raises(ValueError, match="'parameter'"):
+            maintainer.refresh("s", numbers)
+
 
 class TestAccuracyPin:
     """Acceptance criterion: built + persisted + reloaded + refreshed
